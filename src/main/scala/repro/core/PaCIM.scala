@@ -36,6 +36,8 @@ object PaCIM {
   def run(g: CSRGraph, model: ProbModel, k: Int, numSketches: Int = 256,
           alpha: Double = 1.0, selector: Selector = new WinTreeSelector(),
           ccAlgo: SketchBuilder.CCAlgo = SketchBuilder.CCAlgo.UnionFind): Result = {
+    require(k >= 0, s"k=$k must be non-negative")
+    require(numSketches > 0, s"numSketches=$numSketches must be positive")
     val t0 = System.nanoTime()
     val sk = SketchBuilder.build(g, model, numSketches, alpha, ccAlgo)
     val t1 = System.nanoTime()

@@ -7,7 +7,8 @@ import repro.util.Rand
   *
   * Vertices are `0 until n`. Every undirected edge {u, v} is stored as two
   * arcs. `offsets` has n+1 entries; the neighbors of v are
-  * `adj(offsets(v) until offsets(v+1))`, sorted ascending.
+  * `adj(offsets(v) until offsets(v+1))`, strictly ascending (the builder
+  * fills them in that order; see [[CSRGraph.fromPackedEdges]]).
   *
   * This is the paper's input representation (its "CSR" space column is
   * 8 bytes per vertex and per arc; ours is 4 since vertex ids are Int).
@@ -59,29 +60,55 @@ final class CSRGraph private (val n: Int, val offsets: Array[Int], val adj: Arra
 
 object CSRGraph {
 
-  /** Build from undirected edges packed as edgeKey(u, v) longs.
-    * Self-loops are dropped; duplicates are merged; both arcs are stored.
+  /** Build from undirected edges packed as `(u << 32) | v` longs, in
+    * either orientation (so `edgeKey(u, v)` or its reverse) and any order.
+    * Self-loops are dropped; duplicates, including the two orientations of
+    * one edge, are merged; both arcs are stored. `packed` is not modified.
+    *
+    * Primitive sort + linear dedupe: the canonical `(min << 32) | max` keys
+    * are sorted, then scattered in key order. Vertex x receives its smaller
+    * neighbors (keys `(u, x)`, u < x) before its larger ones (keys `(x, v)`),
+    * each group ascending, so every list comes out sorted by construction.
     */
   def fromPackedEdges(n: Int, packed: Array[Long]): CSRGraph = {
-    val sorted = packed.filter { k => (k >>> 32) != (k & 0xffffffffL) }.distinct
-    val deg = new Array[Int](n + 1)
-    sorted.foreach { k =>
-      val u = (k >>> 32).toInt; val v = (k & 0xffffffffL).toInt
-      require(u >= 0 && u < n && v >= 0 && v < n, s"edge ($u,$v) out of range for n=$n")
-      deg(u + 1) += 1; deg(v + 1) += 1
-    }
+    val keys = new Array[Long](packed.length)
     var i = 0
-    while (i < n) { deg(i + 1) += deg(i); i += 1 }
-    val offsets = deg
-    val adj = new Array[Int](sorted.length * 2)
-    val cursor = java.util.Arrays.copyOf(offsets, n)
-    sorted.foreach { k =>
-      val u = (k >>> 32).toInt; val v = (k & 0xffffffffL).toInt
-      adj(cursor(u)) = v; cursor(u) += 1
-      adj(cursor(v)) = u; cursor(v) += 1
+    while (i < keys.length) {
+      val k = packed(i)
+      val a = (k >>> 32).toInt; val b = k.toInt
+      keys(i) = if (a <= b) k else (b.toLong << 32) | (a & 0xffffffffL)
+      i += 1
+    }
+    java.util.Arrays.parallelSort(keys)
+    // Compact the distinct non-loop keys to the front, counting degrees.
+    // `prev` starts at -1L, the key of the self-loop (-1, -1): never kept.
+    val offsets = new Array[Int](n + 1)
+    var m = 0
+    var prev = -1L
+    i = 0
+    while (i < keys.length) {
+      val k = keys(i)
+      val u = (k >>> 32).toInt; val v = k.toInt
+      if (u != v && k != prev) {
+        require(u >= 0 && v < n, s"edge ($u,$v) out of range for n=$n")
+        offsets(u + 1) += 1; offsets(v + 1) += 1
+        keys(m) = k; m += 1
+      }
+      prev = k
+      i += 1
     }
     var v = 0
-    while (v < n) { java.util.Arrays.sort(adj, offsets(v), offsets(v + 1)); v += 1 }
+    while (v < n) { offsets(v + 1) += offsets(v); v += 1 }
+    val adj = new Array[Int](2 * m)
+    val cursor = java.util.Arrays.copyOf(offsets, n)
+    i = 0
+    while (i < m) {
+      val k = keys(i)
+      val u = (k >>> 32).toInt; val w = k.toInt
+      adj(cursor(u)) = w; cursor(u) += 1
+      adj(cursor(w)) = u; cursor(w) += 1
+      i += 1
+    }
     new CSRGraph(n, offsets, adj)
   }
 

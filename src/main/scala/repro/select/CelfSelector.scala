@@ -17,6 +17,7 @@ final class CelfSelector(parallelMarginal: Boolean = true) extends Selector {
   override def name: String = "CELF"
 
   override def select(sk: SketchSet, k: Int): SelectionResult = {
+    require(k >= 0, s"k=$k must be non-negative")
     val n = sk.g.n
     val stale = sk.initScores.clone()
     // Round-0 scores are true scores (S = ∅), so the whole population

@@ -17,6 +17,7 @@ final class PTreeSelector extends Selector {
   override def name: String = "P-tree"
 
   override def select(sk: SketchSet, k: Int): SelectionResult = {
+    require(k >= 0, s"k=$k must be non-negative")
     val n = sk.g.n
     val stale = sk.initScores.clone()
     var tree = PTree.build(n, stale(_))

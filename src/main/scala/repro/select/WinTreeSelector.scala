@@ -24,6 +24,7 @@ final class WinTreeSelector(seqCutoffDepth: Int = 8) extends Selector {
   override def name: String = "Win-Tree"
 
   override def select(sk: SketchSet, k: Int): SelectionResult = {
+    require(k >= 0, s"k=$k must be non-negative")
     val n = sk.g.n
     val stale = sk.initScores.clone()
     var leaves = 1

@@ -52,6 +52,7 @@ object SketchBuilder {
     */
   def fromCCLabels(g: CSRGraph, sampler: EdgeSampler, numSketches: Int,
                    centers: Array[Int])(ccOf: Int => Array[Int]): SketchSet = {
+    require(numSketches > 0, s"numSketches=$numSketches must be positive")
     val n = g.n
     val rho = centers.length
     val centerIndex = Array.fill(n)(-1)

@@ -1,6 +1,5 @@
 package repro.util
 
-import java.util.concurrent.atomic.AtomicInteger
 import java.util.stream.IntStream
 
 /** Shared-memory fork-join helpers.
@@ -40,8 +39,9 @@ object Par {
 }
 
 /** Reusable, allocation-free BFS scratch: a stamp-versioned visited array
-  * plus an int queue. One instance per thread (see [[Scratch.local]]);
-  * `reset()` is O(1) by bumping the version stamp.
+  * plus an int queue, sized for vertex ids below `n`. One instance per
+  * thread (see [[Scratch.local]]); `reset()` is O(1) by bumping the
+  * version stamp.
   */
 final class Scratch(val n: Int) {
   private val stamp = new Array[Int](n)
@@ -57,17 +57,15 @@ final class Scratch(val n: Int) {
 }
 
 object Scratch {
-  // Keyed by n so different graphs in one JVM don't share undersized scratch.
-  private val pool = new ThreadLocal[java.util.HashMap[Integer, Scratch]] {
-    override def initialValue() = new java.util.HashMap[Integer, Scratch]()
-  }
-  private val live = new AtomicInteger(0)
+  // One instance per thread, replaced only by a larger one: a scratch of
+  // size n serves every graph with at most n vertices, so a long-lived
+  // thread holds 8·max(n) bytes, not 8n for every n it has seen.
+  private val pool = new ThreadLocal[Scratch]
 
-  /** Thread-local scratch for graphs with n vertices. */
+  /** Thread-local scratch for graphs with at most n vertices. */
   def local(n: Int): Scratch = {
-    val m = pool.get()
-    var s = m.get(n)
-    if (s == null) { s = new Scratch(n); m.put(n, s); live.incrementAndGet() }
-    s
+    val s = pool.get()
+    if (s != null && s.n >= n) s
+    else { val t = new Scratch(n); pool.set(t); t }
   }
 }

@@ -6,7 +6,8 @@ import repro.baseline.{GeneralGreedy, InfuserMG, StaticGreedy}
 import repro.graph.GraphGen
 import repro.prob.Constant
 import repro.sample.EdgeSampler
-import repro.select.{PTreeSelector, WinTreeSelector}
+import repro.select.{CelfSelector, PTreeSelector, WinTreeSelector}
+import repro.sketch.SketchBuilder
 
 class PaCIMSpec extends AnyFunSuite {
 
@@ -27,6 +28,25 @@ class PaCIMSpec extends AnyFunSuite {
       val c = PaCIM.run(g, model, 15, 16, alpha = 0.0)
       assert(a.seeds.toSeq == b.seeds.toSeq, name)
       assert(a.seeds.toSeq == c.seeds.toSeq, name)
+    }
+  }
+
+  test("negative k is rejected by run and by every selector") {
+    val g = GraphGen.rmat(256, 1500, seed = 63)
+    intercept[IllegalArgumentException](PaCIM.run(g, Constant(0.05), k = -1, numSketches = 4))
+    val sk = SketchBuilder.build(g, Constant(0.05), numSketches = 4, alpha = 0.5)
+    Seq(new CelfSelector(), new PTreeSelector(), new WinTreeSelector()).foreach { s =>
+      intercept[IllegalArgumentException](s.select(sk.copy(), -1))
+    }
+  }
+
+  test("numSketches = 0 is rejected by run, build and fromCCLabels") {
+    val g = GraphGen.rmat(256, 1500, seed = 64)
+    intercept[IllegalArgumentException](PaCIM.run(g, Constant(0.05), k = 3, numSketches = 0))
+    intercept[IllegalArgumentException](SketchBuilder.build(g, Constant(0.05), 0, alpha = 0.5))
+    intercept[IllegalArgumentException] {
+      SketchBuilder.fromCCLabels(g, EdgeSampler.forSketches(Constant(0.05)), 0,
+        SketchBuilder.chooseCenters(g.n, 0.5))(_ => Array.tabulate(g.n)(identity))
     }
   }
 

@@ -1,5 +1,9 @@
 package repro.graph
 
+import scala.util.Random
+
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.Prop.propBoolean
 import org.scalatest.funsuite.AnyFunSuite
 import repro.util.Rand
 
@@ -24,6 +28,14 @@ class CSRGraphSpec extends AnyFunSuite {
     val g = CSRGraph.fromEdges(3, Seq((0, 1), (1, 0), (0, 1), (1, 2)))
     assert(g.m == 2)
     assert(g.degree(1) == 2)
+  }
+
+  test("packed keys in both orientations are merged into one edge") {
+    val g = CSRGraph.fromPackedEdges(3, Array((1L << 32) | 0, (0L << 32) | 1, (2L << 32) | 1))
+    assert(g.m == 2)
+    assert(g.neighbors(0).toSeq == Seq(1))
+    assert(g.neighbors(1).toSeq == Seq(0, 2))
+    assert(g.neighbors(2).toSeq == Seq(1))
   }
 
   test("degree sums to 2m") {
@@ -82,6 +94,52 @@ class CSRGraphSpec extends AnyFunSuite {
     val g = GraphGen.empty(10)
     assert(g.m == 0)
     (0 until 10).foreach(v => assert(g.degree(v) == 0))
+  }
+}
+
+/** fromPackedEdges against a Set-based reference on generated key arrays. */
+class CSRGraphPropertySpec extends AnyFunSuite {
+
+  private def key(u: Int, v: Int): Long = (u.toLong << 32) | v
+
+  /** n, the keys, and a seed for a second shuffle. The keys hold random
+    * pairs (self-loops and both orientations included), then a reversed
+    * copy of some of them, in shuffled order.
+    */
+  private val inputs: Gen[(Int, Array[Long], Long)] = for {
+    n <- Gen.choose(1, 30)
+    pairs <- Gen.listOf(Gen.zip(Gen.choose(0, n - 1), Gen.choose(0, n - 1)))
+    repeats <- Gen.someOf(pairs)
+    order <- Gen.long
+    reorder <- Gen.long
+  } yield {
+    val all = pairs ++ repeats.map(_.swap)
+    (n, new Random(order).shuffle(all).map { case (u, v) => key(u, v) }.toArray, reorder)
+  }
+
+  test("fromPackedEdges matches a Set-based reference") {
+    val prop = Prop.forAllNoShrink(inputs) { case (n, keys, reorder) =>
+      val before = keys.clone()
+      val g = CSRGraph.fromPackedEdges(n, keys)
+      val edges = keys.iterator.map(k => ((k >>> 32).toInt, k.toInt))
+        .collect { case (u, v) if u != v => (math.min(u, v), math.max(u, v)) }.toSet
+      val lists = (0 until n).map { v =>
+        edges.toSeq.collect { case (`v`, w) => w; case (u, `v`) => u }.sorted
+      }
+      val offsets = lists.scanLeft(0)(_ + _.length)
+      val ascending = (0 until n).forall { v =>
+        (g.offsets(v) + 1 until g.offsets(v + 1)).forall(i => g.adj(i - 1) < g.adj(i))
+      }
+      val permuted = CSRGraph.fromPackedEdges(n, new Random(reorder).shuffle(keys.toSeq).toArray)
+      (g.offsets.toSeq == offsets &&
+        g.adj.toSeq == lists.flatten &&
+        ascending &&
+        g.m == edges.size &&
+        permuted.offsets.sameElements(g.offsets) && permuted.adj.sameElements(g.adj) &&
+        keys.sameElements(before)) :| s"n=$n keys=${before.mkString(",")}"
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, res.status)
   }
 }
 

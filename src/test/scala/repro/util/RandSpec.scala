@@ -102,15 +102,34 @@ class ParSpec extends AnyFunSuite {
     assert(!s.visited(3))
   }
 
-  test("Scratch.local is per-thread and per-size") {
-    val a = Scratch.local(100)
-    val b = Scratch.local(100)
-    val c = Scratch.local(200)
-    assert(a eq b)
-    assert(!(a eq c))
-    var other: Scratch = null
-    val t = new Thread(() => { other = Scratch.local(100) })
+  /** Runs `body` on a new thread, so its thread-local scratch starts empty. */
+  private def onFreshThread(body: => Unit): Unit = {
+    var err: Throwable = null
+    val t = new Thread(() => try body catch { case e: Throwable => err = e })
     t.start(); t.join()
-    assert(!(a eq other))
+    if (err != null) throw err
+  }
+
+  test("Scratch.local is per-thread and per-size") {
+    onFreshThread {
+      val a = Scratch.local(100)
+      val b = Scratch.local(100)
+      val c = Scratch.local(200)
+      assert(a eq b)
+      assert(!(a eq c))
+      var other: Scratch = null
+      val t = new Thread(() => { other = Scratch.local(100) })
+      t.start(); t.join()
+      assert(!(a eq other))
+    }
+  }
+
+  test("Scratch.local reuses a larger instance for a smaller n") {
+    onFreshThread {
+      val big = Scratch.local(200)
+      assert(Scratch.local(100) eq big)
+      assert(Scratch.local(200) eq big)
+      assert(big.n == 200)
+    }
   }
 }

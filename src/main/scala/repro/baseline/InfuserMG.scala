@@ -25,7 +25,7 @@ object InfuserMG {
 
   def run(g: CSRGraph, model: ProbModel, k: Int, numSketches: Int = 256): PaCIM.Result =
     PaCIM.run(g, model, k, numSketches, alpha = 1.0,
-      selector = new CelfSelector(parallelMarginal = true),
+      selector = new CelfSelector,
       ccAlgo = SketchBuilder.CCAlgo.Coloring)
 }
 
@@ -37,6 +37,6 @@ object StaticGreedy {
 
   def run(g: CSRGraph, model: ProbModel, k: Int, numSketches: Int = 256): PaCIM.Result =
     PaCIM.run(g, model, k, numSketches, alpha = 0.0,
-      selector = new CelfSelector(parallelMarginal = true),
+      selector = new CelfSelector,
       ccAlgo = SketchBuilder.CCAlgo.UnionFind)
 }

@@ -1,6 +1,6 @@
 package repro.connectivity
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import org.apache.spark.graphx.{Edge, Graph => XGraph}
 import repro.graph.CSRGraph
 
@@ -11,17 +11,13 @@ import repro.graph.CSRGraph
   */
 object GraphXCC {
 
-  /** Labels (min-id per component) for an edge DataFrame (src, dst). */
-  def labels(spark: SparkSession, edges: DataFrame, n: Int): Array[Int] = {
-    val edgeRdd = edges.select("src", "dst").rdd
+  /** Labels (min-id per component) of g, computed from its edge DataFrame. */
+  def labels(spark: SparkSession, g: CSRGraph): Array[Int] = {
+    val edgeRdd = g.edgeDF(spark).select("src", "dst").rdd
       .map(r => Edge(r.get(0).toString.toDouble.toLong, r.get(1).toString.toDouble.toLong, ()))
     val graph = XGraph.fromEdges(edgeRdd, ())
     val cc = graph.connectedComponents().vertices.collectAsMap()
     // GraphX labels with the min vertex id of the component already.
-    Array.tabulate(n)(v => cc.getOrElse(v.toLong, v.toLong).toInt)
+    Array.tabulate(g.n)(v => cc.getOrElse(v.toLong, v.toLong).toInt)
   }
-
-  /** Convenience: labels for a whole local graph. */
-  def labels(spark: SparkSession, g: CSRGraph): Array[Int] =
-    labels(spark, g.edgeDF(spark), g.n)
 }

@@ -36,7 +36,6 @@ object LocalCC {
   def byColoring(g: CSRGraph, sampler: EdgeSampler = null, r: Int = -1): Array[Int] = {
     val label = Array.tabulate(g.n)(identity)
     var changed = true
-    var iters = 0
     while (changed) {
       changed = false
       var u = 0
@@ -50,7 +49,6 @@ object LocalCC {
         }
         u += 1
       }
-      iters += 1
     }
     // Propagation by increasing u already reaches a fixpoint of canonical
     // labels: min labels flow along edges until no edge is bichromatic.

@@ -13,7 +13,7 @@ import repro.sketch.SketchSet
   * implementations only parallelize the evaluation function MARGINAL"),
   * the only parallelism is inside `marginal` (over the R sketches).
   */
-final class CelfSelector(parallelMarginal: Boolean = true) extends Selector {
+final class CelfSelector extends Selector {
   override def name: String = "CELF"
 
   override def select(sk: SketchSet, k: Int): SelectionResult = {
@@ -45,7 +45,7 @@ final class CelfSelector(parallelMarginal: Boolean = true) extends Selector {
         if (lastEvalRound(top) == round || pq.isEmpty) {
           chosen = top
         } else {
-          stale(top) = sk.marginal(top, parallel = parallelMarginal)
+          stale(top) = sk.marginal(top, parallel = true)
           lastEvalRound(top) = round
           evals += 1
           val nxt = pq.head

@@ -19,7 +19,7 @@ import repro.util.Rand
   */
 object PTree {
 
-  final class Node(val score: Double, val id: Int,
+  final class Node(val score: Long, val id: Int,
                    val left: Node, val right: Node) {
     val size: Int = 1 + PTree.size(left) + PTree.size(right)
     val prio: Long = Rand.mix64(id.toLong)
@@ -28,15 +28,15 @@ object PTree {
   @inline def size(t: Node): Int = if (t == null) 0 else t.size
 
   /** key(a) before key(b) in the tree (a is better)? */
-  @inline private def before(sa: Double, ia: Int, sb: Double, ib: Int): Boolean =
+  @inline private def before(sa: Long, ia: Int, sb: Long, ib: Int): Boolean =
     Key.better(sa, ia, sb, ib)
 
   /** O(n) cartesian-tree build from ids sorted best-first. */
-  def fromSorted(ids: Array[Int], score: Int => Double): Node = {
+  def fromSorted(ids: Array[Int], score: Int => Long): Node = {
     // Rightmost-spine construction maintaining the max-heap on prio,
     // on a mutable mirror (rights are rewired as nodes arrive), frozen
     // into immutable Nodes at the end.
-    case class M(var score: Double, var id: Int, var left: M, var right: M, var prio: Long)
+    case class M(var score: Long, var id: Int, var left: M, var right: M, var prio: Long)
     var top = -1
     val stack = new Array[M](ids.length)
     var i = 0
@@ -57,7 +57,7 @@ object PTree {
     freeze(mroot)
   }
 
-  def build(n: Int, score: Int => Double): Node = {
+  def build(n: Int, score: Int => Long): Node = {
     val ids = Array.tabulate(n)(identity)
     val sorted = ids.sortWith((a, b) => before(score(a), a, score(b), b))
     fromSorted(sorted, score)
@@ -103,7 +103,7 @@ object PTree {
   }
 
   /** Standard treap insert of a single key. */
-  def insertRoot(t: Node, s: Double, id: Int): Node = {
+  def insertRoot(t: Node, s: Long, id: Int): Node = {
     if (t == null) return new Node(s, id, null, null)
     val p = Rand.mix64(id.toLong)
     if (p > t.prio) {
@@ -119,7 +119,7 @@ object PTree {
   /** Split by key: (strictly better than (s,id), the rest). The key
     * itself is assumed absent (selectors never reinsert a live key).
     */
-  private def splitByKey(t: Node, s: Double, id: Int): (Node, Node) = {
+  private def splitByKey(t: Node, s: Long, id: Int): (Node, Node) = {
     if (t == null) return (null, null)
     if (before(t.score, t.id, s, id)) {
       val (lo, hi) = splitByKey(t.right, s, id)
@@ -131,7 +131,7 @@ object PTree {
   }
 
   /** Insert a batch of (id, score) pairs. */
-  def batchInsert(t: Node, ids: Array[Int], score: Int => Double): Node = {
+  def batchInsert(t: Node, ids: Array[Int], score: Int => Long): Node = {
     var cur = t
     var i = 0
     while (i < ids.length) { cur = insertRoot(cur, score(ids(i)), ids(i)); i += 1 }
@@ -146,7 +146,7 @@ object PTree {
     x.id
   }
 
-  def maxScore(t: Node): Double = {
+  def maxScore(t: Node): Long = {
     require(t != null, "maxScore of empty tree")
     var x = t
     while (x.left != null) x = x.left

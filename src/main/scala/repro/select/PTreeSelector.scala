@@ -31,8 +31,9 @@ final class PTreeSelector extends Selector {
       val pending = Array.newBuilder[Int] // evaluated, not selected
       var batchSize = 1
       var stop = false
-      // Round 0's scores are true scores: take the max directly.
-      if (round == 0) {
+      // Round 0's scores are true scores, and a last remaining vertex
+      // wins unevaluated (as CELF's does): take the max directly.
+      if (round == 0 || PTree.size(tree) == 1) {
         val (ids, rest) = PTree.splitAndRemove(tree, 1)
         tree = rest
         best = ids(0)

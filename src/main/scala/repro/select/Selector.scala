@@ -3,13 +3,15 @@ package repro.select
 import repro.sketch.SketchSet
 
 /** Total order on (score, vertex) pairs used by every selector:
-  * higher score wins, ties broken toward the smaller vertex id. Using one
-  * strict total order everywhere makes CELF, P-tree and Win-Tree select
-  * *identical* seed sets (the paper assumes no ties; we make the
-  * assumption true by construction), which tests assert.
+  * higher score wins, ties broken toward the smaller vertex id. A score
+  * is the exact integer Σ_r δ_r of [[repro.sketch.SketchSet.marginal]]
+  * (R × the paper's Marginal), so equal gains are equal keys with no
+  * rounding. Using one strict total order everywhere makes CELF, P-tree
+  * and Win-Tree select *identical* seed sets (the paper assumes no ties;
+  * we make the assumption true by construction), which tests assert.
   */
 object Key {
-  @inline def better(s1: Double, id1: Int, s2: Double, id2: Int): Boolean =
+  @inline def better(s1: Long, id1: Int, s2: Long, id2: Int): Boolean =
     s1 > s2 || (s1 == s2 && id1 < id2)
 }
 

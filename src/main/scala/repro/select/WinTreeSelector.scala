@@ -26,9 +26,8 @@ final class WinTreeSelector(seqCutoffDepth: Int = 8) extends Selector {
   override def select(sk: SketchSet, k: Int): SelectionResult = {
     require(k >= 0, s"k=$k must be non-negative")
     val n = sk.g.n
+    val leaves = WinTreeSelector.leafCount(n)
     val stale = sk.initScores.clone()
-    var leaves = 1
-    while (leaves < n) leaves <<= 1
     val ids = new Array[Int](2 * leaves - 1)
     java.util.Arrays.fill(ids, -1)
     var v = 0
@@ -44,13 +43,14 @@ final class WinTreeSelector(seqCutoffDepth: Int = 8) extends Selector {
       if (round == 0) {
         // Round-0 scores are true scores; the root already wins.
       } else {
-        val best = new AtomicReference[(Double, Int)]((0.0, Int.MaxValue))
+        val best = new AtomicReference[(Long, Int)]((0L, Int.MaxValue))
         new FindMax(sk, ids, stale, best, evalCount, 0, -2, 0).invoke()
       }
       val s = ids(0)
       seeds(round) = s
-      // Remove the seed: -∞ at its leaf, then fix its root path.
-      stale(s) = Double.NegativeInfinity
+      // Remove the seed: -1, below every reachable sum, at its leaf, then
+      // fix its root path.
+      stale(s) = -1L
       var i = leaves - 1 + s
       while (i > 0) { i = (i - 1) / 2; ids(i) = betterChild(ids, stale, i) }
       sk.markSeed(s)
@@ -59,7 +59,7 @@ final class WinTreeSelector(seqCutoffDepth: Int = 8) extends Selector {
     SelectionResult(seeds, evalCount.sum(), structBytes)
   }
 
-  @inline private def betterChild(ids: Array[Int], stale: Array[Double], t: Int): Int = {
+  @inline private def betterChild(ids: Array[Int], stale: Array[Long], t: Int): Int = {
     val l = ids(2 * t + 1); val r = ids(2 * t + 2)
     if (l < 0) r
     else if (r < 0) l
@@ -71,8 +71,8 @@ final class WinTreeSelector(seqCutoffDepth: Int = 8) extends Selector {
     * (always treated as stale); `depth` switches to sequential recursion
     * below `seqCutoffDepth` levels from the leaves to bound task overhead.
     */
-  private final class FindMax(sk: SketchSet, ids: Array[Int], stale: Array[Double],
-                              best: AtomicReference[(Double, Int)], evals: LongAdder,
+  private final class FindMax(sk: SketchSet, ids: Array[Int], stale: Array[Long],
+                              best: AtomicReference[(Long, Int)], evals: LongAdder,
                               t: Int, parentId: Int, depth: Int) extends RecursiveAction {
     override def compute(): Unit = run(t, parentId, depth)
 
@@ -104,7 +104,7 @@ final class WinTreeSelector(seqCutoffDepth: Int = 8) extends Selector {
     }
 
     /** Atomic WriteMax on the (score, id) total order. */
-    private def writeMax(s: Double, id: Int): Unit = {
+    private def writeMax(s: Long, id: Int): Unit = {
       var done = false
       while (!done) {
         val cur = best.get()
@@ -112,5 +112,24 @@ final class WinTreeSelector(seqCutoffDepth: Int = 8) extends Selector {
         else done = true
       }
     }
+  }
+}
+
+object WinTreeSelector {
+
+  /** Largest population the tournament tree holds: 2^29 leaves make
+    * 2^30 - 1 node ids, and 2^30 leaves would exceed the JVM's array
+    * length limit.
+    */
+  private[select] val MaxVertices: Int = 1 << 29
+
+  /** Leaves of the tournament tree over n vertices: n rounded up to a
+    * power of two (1 for n ≤ 1).
+    */
+  private[select] def leafCount(n: Int): Int = {
+    require(n <= MaxVertices, s"Win-Tree holds at most $MaxVertices vertices, got n=$n")
+    var leaves = 1
+    while (leaves < n) leaves <<= 1
+    leaves
   }
 }

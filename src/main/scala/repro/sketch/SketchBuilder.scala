@@ -92,7 +92,7 @@ object SketchBuilder {
       labels(r) = lab
       sizes(r) = siz
     }
-    val initScores = Array.tabulate(n)(v => initSums.get(v).toDouble / numSketches)
+    val initScores = Array.tabulate(n)(initSums.get)
     new SketchSet(g, sampler, numSketches, centers, centerIndex, labels, sizes, initScores)
   }
 

@@ -19,6 +19,11 @@ import repro.util.{Par, Scratch}
   *    influence of that component — its size initially, 0 once any vertex
   *    of the component has been chosen as a seed (MarkSeed).
   *
+  * Scores are exact integers: `marginal(v)` and `initScores(v)` are
+  * Σ_r δ_r, i.e. R × the paper's Marginal (an average over the R
+  * sketches). Dividing by the constant R never changes an arg-max, and
+  * the integer sum makes equal gains compare equal without rounding.
+  *
   * With α = 1 this degenerates to InfuserMG's full memoization (every
   * GetCenter terminates at its first vertex); with α = 0 to StaticGreedy's
   * pure simulation. The marginal-gain *values* are identical for every α —
@@ -36,7 +41,7 @@ final class SketchSet(
     val centerIndex: Array[Int], // n entries: vertex -> center index, or -1
     val labels: Array[Array[Int]], // R × ρ
     val sizes: Array[Array[Int]], // R × ρ
-    val initScores: Array[Double], // Marginal(∅, v) memoized at build time
+    val initScores: Array[Long], // Σ_r δ_r on S = ∅, memoized at build time
 ) {
   require(labels.length == R && sizes.length == R)
 
@@ -101,15 +106,17 @@ final class SketchSet(
     (visited, -1)
   }
 
-  /** Alg. 3 Marginal: average of δ_r over all R sketches. */
-  def marginal(v: Int, parallel: Boolean = false): Double = {
+  /** Alg. 3 Marginal times R: the exact sum of δ_r over all R sketches
+    * (< R·n, so it cannot overflow a Long).
+    */
+  def marginal(v: Int, parallel: Boolean = false): Long = {
     if (parallel) {
-      Par.parSumD(R)(r => getCenter(r, v)._1.toDouble) / R
+      Par.parSumL(R)(r => getCenter(r, v)._1.toLong)
     } else {
-      var sum = 0.0
+      var sum = 0L
       var r = 0
       while (r < R) { sum += getCenter(r, v)._1; r += 1 }
-      sum / R
+      sum
     }
   }
 

@@ -57,22 +57,4 @@ object SparkSketchBuilder {
     }
     SketchBuilder.fromCCLabels(g, sampler, numSketches, centers)(perSketch(_))
   }
-
-  /** GraphX variant: one Pregel connected-components job per sketch over
-    * the hash-sampled edge table — the RDD-layer counterpart of [[build]]
-    * (identical output; tests assert all three builders agree).
-    */
-  def buildGraphX(spark: SparkSession, g: CSRGraph, model: ProbModel, numSketches: Int,
-                  alpha: Double, centerSeed: Long = 0xce57e5L): SketchSet = {
-    val sampler = EdgeSampler.forSketches(model)
-    val centers = SketchBuilder.chooseCenters(g.n, alpha, centerSeed)
-    val all = sampledEdges(spark, g, model, numSketches).cache()
-    try {
-      val perSketch = (0 until numSketches).map { r =>
-        val edges = all.where(col("g") === r).select("src", "dst")
-        repro.connectivity.GraphXCC.labels(spark, edges, g.n)
-      }.toArray
-      SketchBuilder.fromCCLabels(g, sampler, numSketches, centers)(perSketch(_))
-    } finally { val _ = all.unpersist() }
-  }
 }

@@ -23,13 +23,6 @@ object Par {
     out
   }
 
-  /** Parallel sum of a per-index Double function. */
-  def parSumD(n: Int)(f: Int => Double): Double = {
-    val acc = new java.util.concurrent.atomic.DoubleAdder
-    parFor(n)(i => acc.add(f(i)))
-    acc.sum()
-  }
-
   /** Parallel sum of a per-index Long function. */
   def parSumL(n: Int)(f: Int => Long): Long = {
     val acc = new java.util.concurrent.atomic.LongAdder

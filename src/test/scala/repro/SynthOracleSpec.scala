@@ -3,9 +3,8 @@ package repro
 import org.apache.spark.sql.functions._
 import repro.graph.GraphGen
 
-/** DataFrame-vs-DuckDB oracle checks for the dataflow-side queries: graph
-  * degree/edge statistics used by the harness, and the provided
-  * TPC-H-lite generators to keep the stock oracle harness exercised.
+/** DataFrame-vs-DuckDB oracle checks for the dataflow-side queries:
+  * graph degree/edge statistics used by the harness.
   */
 class SynthOracleSpec extends SparkSpec {
 
@@ -52,41 +51,6 @@ class SynthOracleSpec extends SparkSpec {
       "SELECT COUNT(*) AS bad FROM edges WHERE CAST(src AS INT) >= CAST(dst AS INT)",
       "edges" -> edges)
     assert(edges.distinct().count() == g.m)
-  }
-
-  test("TPC-H-lite lineitem aggregate matches DuckDB (stock harness)") {
-    val li = SynthData.lineitem(spark, sf = 0.001)
-    val q = li.groupBy("l_returnflag")
-      .agg(count(lit(1)).as("cnt"), round(sum("l_quantity"), 2).as("qty"))
-    Oracle.assertEquivalent(
-      q,
-      """SELECT l_returnflag, COUNT(*) AS cnt,
-        |       ROUND(SUM(CAST(l_quantity AS DOUBLE)), 2) AS qty
-        |FROM lineitem GROUP BY l_returnflag""".stripMargin,
-      "lineitem" -> li)
-  }
-
-  test("TPC-H-lite orders join customer matches DuckDB") {
-    val o = SynthData.orders(spark, sf = 0.001)
-    val c = SynthData.customer(spark, sf = 0.001)
-    val q = o.join(c, o("o_custkey") === c("c_custkey"))
-      .groupBy("c_mktsegment").agg(count(lit(1)).as("orders"))
-    Oracle.assertEquivalent(
-      q,
-      """SELECT c_mktsegment, COUNT(*) AS orders
-        |FROM orders JOIN customer ON CAST(o_custkey AS BIGINT) = CAST(c_custkey AS BIGINT)
-        |GROUP BY c_mktsegment""".stripMargin,
-      "orders" -> o, "customer" -> c)
-  }
-
-  test("SynthData graph-edge extensions mirror GraphGen") {
-    val df = SynthData.rmatEdges(spark, 128, 600, seed = 703)
-    val g = GraphGen.rmat(128, 600, seed = 703)
-    assert(df.count() == g.m)
-    val dfGrid = SynthData.gridEdges(spark, 6, 7)
-    assert(dfGrid.count() == GraphGen.grid(6, 7).m)
-    val dfKnn = SynthData.knnEdges(spark, 200, 3, seed = 704)
-    assert(dfKnn.count() == GraphGen.knn(200, 3, seed = 704).m)
   }
 
   test("CSRGraph round-trips through its DataFrame view") {

@@ -34,11 +34,12 @@ object TestRefs {
     label
   }
 
-  /** Sketch-estimated influence σ̂(S): average over the R sampled graphs
-    * of the number of vertices in components touched by S.
+  /** R × the sketch-estimated influence σ̂(S): the total over the R
+    * sampled graphs of the number of vertices in components touched by S
+    * (exact, like `SketchSet.marginal`).
     */
   def sketchSigma(g: CSRGraph, sampler: EdgeSampler, numSketches: Int,
-                  seeds: Seq[Int]): Double = {
+                  seeds: Seq[Int]): Long = {
     var total = 0L
     var r = 0
     while (r < numSketches) {
@@ -47,7 +48,7 @@ object TestRefs {
       total += (0 until g.n).count(v => seedLabels.contains(cc(v)))
       r += 1
     }
-    total.toDouble / numSketches
+    total
   }
 
   /** Exhaustive greedy on σ̂ with (gain, id) tie-break — the semantics
@@ -56,14 +57,14 @@ object TestRefs {
   def bruteGreedy(g: CSRGraph, sampler: EdgeSampler, numSketches: Int, k: Int): Array[Int] = {
     val seeds = scala.collection.mutable.ArrayBuffer.empty[Int]
     while (seeds.length < math.min(k, g.n)) {
-      val base = if (seeds.isEmpty) 0.0 else sketchSigma(g, sampler, numSketches, seeds.toSeq)
+      val base = if (seeds.isEmpty) 0L else sketchSigma(g, sampler, numSketches, seeds.toSeq)
       var best = -1
-      var bestGain = Double.NegativeInfinity
+      var bestGain = -1L
       var v = 0
       while (v < g.n) {
         if (!seeds.contains(v)) {
           val gain = sketchSigma(g, sampler, numSketches, seeds.toSeq :+ v) - base
-          if (gain > bestGain + 1e-9) { bestGain = gain; best = v }
+          if (gain > bestGain) { bestGain = gain; best = v }
         }
         v += 1
       }

@@ -5,20 +5,20 @@ import repro.util.Rand
 
 class KeySpec extends AnyFunSuite {
   test("higher score wins") {
-    assert(Key.better(2.0, 5, 1.0, 3))
-    assert(!Key.better(1.0, 3, 2.0, 5))
+    assert(Key.better(2L, 5, 1L, 3))
+    assert(!Key.better(1L, 3, 2L, 5))
   }
   test("ties break toward smaller id") {
-    assert(Key.better(1.0, 3, 1.0, 5))
-    assert(!Key.better(1.0, 5, 1.0, 3))
+    assert(Key.better(1L, 3, 1L, 5))
+    assert(!Key.better(1L, 5, 1L, 3))
   }
   test("strict: a key never beats itself") {
-    assert(!Key.better(1.0, 3, 1.0, 3))
+    assert(!Key.better(1L, 3, 1L, 3))
   }
   test("total: exactly one of better(a,b), better(b,a) for distinct keys") {
     val rng = new Rand.Pcg(1)
     (1 to 2000).foreach { _ =>
-      val s1 = (rng.nextInt(5)).toDouble; val s2 = (rng.nextInt(5)).toDouble
+      val s1 = rng.nextInt(5).toLong; val s2 = rng.nextInt(5).toLong
       val i1 = rng.nextInt(100); val i2 = rng.nextInt(100)
       if ((s1, i1) != (s2, i2))
         assert(Key.better(s1, i1, s2, i2) != Key.better(s2, i2, s1, i1))
@@ -29,12 +29,12 @@ class KeySpec extends AnyFunSuite {
 class PTreeSpec extends AnyFunSuite {
 
   /** Reference ordering: best-first (score desc, id asc). */
-  private def refSort(ids: Seq[Int], score: Int => Double): Seq[Int] =
+  private def refSort(ids: Seq[Int], score: Int => Long): Seq[Int] =
     ids.sortWith((a, b) => Key.better(score(a), a, score(b), b))
 
-  private def randomScores(n: Int, seed: Int, distinctVals: Int = 50): Array[Double] = {
+  private def randomScores(n: Int, seed: Int, distinctVals: Int = 50): Array[Long] = {
     val rng = new Rand.Pcg(seed)
-    Array.fill(n)(rng.nextInt(distinctVals).toDouble) // deliberate ties
+    Array.fill(n)(rng.nextInt(distinctVals).toLong) // deliberate ties
   }
 
   test("build produces the reference in-order sequence") {

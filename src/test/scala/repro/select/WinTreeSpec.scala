@@ -55,7 +55,22 @@ class WinTreeSpec extends AnyFunSuite {
     val g = GraphGen.erdosRenyi(1000, 2000, seed = 73)
     val sk = SketchBuilder.build(g, Constant(0.2), 4, 1.0)
     val r = PaCIM.selectOn(sk, 2, new WinTreeSelector())
-    // 1024 leaves -> 2047 node ids (4B) + n stale doubles (8B).
+    // 1024 leaves -> 2047 node ids (4B) + n stale sums (8B).
     assert(r.structBytes == 4L * 2047 + 8L * 1000)
+  }
+
+  test("leaf count rounds n up to a power of two") {
+    assert(WinTreeSelector.leafCount(0) == 1)
+    assert(WinTreeSelector.leafCount(1) == 1)
+    assert(WinTreeSelector.leafCount(3) == 4)
+    assert(WinTreeSelector.leafCount(1 << 29) == (1 << 29))
+  }
+
+  test("populations above 2^29 are rejected instead of overflowing the leaf count") {
+    // A graph this large does not fit in a test JVM, so the sizing
+    // function is checked on its own.
+    Seq((1 << 29) + 1, (1 << 30) + 1, Int.MaxValue).foreach { n =>
+      intercept[IllegalArgumentException](WinTreeSelector.leafCount(n))
+    }
   }
 }

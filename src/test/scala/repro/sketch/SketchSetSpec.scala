@@ -46,7 +46,7 @@ class SketchSetSpec extends AnyFunSuite {
       val sk = SketchBuilder.build(g, model, numSk, a)
       (0 until g.n).foreach { v =>
         val expect = TestRefs.sketchSigma(g, sampler, numSk, Seq(v))
-        assert(math.abs(sk.initScores(v) - expect) < 1e-9, s"alpha=$a v=$v")
+        assert(sk.initScores(v) == expect, s"alpha=$a v=$v")
       }
     }
   }
@@ -57,7 +57,7 @@ class SketchSetSpec extends AnyFunSuite {
     alphas.foreach { a =>
       val sk = SketchBuilder.build(g, model, 16, a)
       (0 until g.n by 7).foreach { v =>
-        assert(math.abs(sk.marginal(v) - sk.initScores(v)) < 1e-9, s"alpha=$a v=$v")
+        assert(sk.marginal(v) == sk.initScores(v), s"alpha=$a v=$v")
       }
     }
   }
@@ -70,7 +70,7 @@ class SketchSetSpec extends AnyFunSuite {
     seedsToMark.foreach(s => sks.foreach(_.markSeed(s)))
     (0 until g.n by 5).filterNot(seedsToMark.contains).foreach { v =>
       val vals = sks.map(_.marginal(v))
-      assert(vals.forall(x => math.abs(x - vals.head) < 1e-9), s"v=$v vals=$vals")
+      assert(vals.forall(_ == vals.head), s"v=$v vals=$vals")
     }
   }
 
@@ -85,7 +85,7 @@ class SketchSetSpec extends AnyFunSuite {
     val base = TestRefs.sketchSigma(g, sampler, numSk, seeds)
     (0 until g.n by 3).filterNot(seeds.contains).foreach { v =>
       val expect = TestRefs.sketchSigma(g, sampler, numSk, seeds :+ v) - base
-      assert(math.abs(sk.marginal(v) - expect) < 1e-9, s"v=$v")
+      assert(sk.marginal(v) == expect, s"v=$v")
     }
   }
 
@@ -93,7 +93,7 @@ class SketchSetSpec extends AnyFunSuite {
     val g = GraphGen.erdosRenyi(100, 200, seed = 36)
     val sk = SketchBuilder.build(g, Constant(0.3), 8, 0.3)
     sk.markSeed(17)
-    assert(sk.marginal(17) == 0.0)
+    assert(sk.marginal(17) == 0L)
     assert(sk.seeded(17))
   }
 
@@ -112,7 +112,7 @@ class SketchSetSpec extends AnyFunSuite {
     val before = sk.marginal(50)
     val c = sk.copy()
     c.markSeed(50)
-    assert(c.marginal(50) == 0.0)
+    assert(c.marginal(50) == 0L)
     assert(sk.marginal(50) == before, "original sketches must be untouched")
   }
 
@@ -167,7 +167,7 @@ class SketchSetSpec extends AnyFunSuite {
     sk.markSeed(5)
     (0 until 2).foreach { r =>
       assert(sk.sizes(r)(0) == 0)
-      (0 until 10).foreach(v => assert(sk.marginal(v) == 0.0))
+      (0 until 10).foreach(v => assert(sk.marginal(v) == 0L))
     }
   }
 }

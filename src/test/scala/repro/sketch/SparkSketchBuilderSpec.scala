@@ -35,18 +35,6 @@ class SparkSketchBuilderSpec extends SparkSpec {
     }
   }
 
-  test("GraphX-built sketches equal the local build") {
-    val g = GraphGen.rmat(150, 600, seed = 605)
-    val model = Constant(0.2)
-    val local = SketchBuilder.build(g, model, 4, 0.25)
-    val gx = SparkSketchBuilder.buildGraphX(spark, g, model, 4, 0.25)
-    (0 until 4).foreach { r =>
-      assert(gx.labels(r).toSeq == local.labels(r).toSeq, s"r=$r")
-      assert(gx.sizes(r).toSeq == local.sizes(r).toSeq, s"r=$r")
-    }
-    assert(gx.initScores.toSeq == local.initScores.toSeq)
-  }
-
   test("seed selection on distributed-built sketches matches local") {
     val g = GraphGen.rmat(150, 700, seed = 603)
     val model = UniformHash(0.0, 0.3)

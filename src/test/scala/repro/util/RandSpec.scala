@@ -80,10 +80,6 @@ class ParSpec extends AnyFunSuite {
     assert(Par.parTabulate(5000)(i => i * i).toSeq == (0 until 5000).map(i => i * i))
   }
 
-  test("parSumD sums doubles") {
-    assert(math.abs(Par.parSumD(1000)(i => i * 0.5) - 0.5 * 999 * 1000 / 2) < 1e-6)
-  }
-
   test("parSumL sums longs") {
     assert(Par.parSumL(1000)(i => i.toLong) == 999L * 1000 / 2)
   }

@@ -43,13 +43,19 @@ object RIS {
     s.reset()
     s.visit(t)
     s.queue(0) = t
+    val rs = sampler.saltOf(idx)
+    val off = g.offsets; val adj = g.adj
     var head = 0; var tail = 1
     while (head < tail) {
       val u = s.queue(head); head += 1
-      g.foreachNeighbor(u) { w =>
-        if (!s.visited(w) && sampler.sample(u, w, idx)) {
+      var i = off(u)
+      val end = off(u + 1)
+      while (i < end) {
+        val w = adj(i)
+        if (!s.visited(w) && sampler.sampleSalted(u, w, rs)) {
           s.visit(w); s.queue(tail) = w; tail += 1
         }
+        i += 1
       }
     }
     java.util.Arrays.copyOf(s.queue, tail)

@@ -18,15 +18,22 @@ import repro.sample.EdgeSampler
   */
 object LocalCC {
 
-  @inline private def keep(sampler: EdgeSampler, u: Int, v: Int, r: Int): Boolean =
-    r < 0 || sampler.sample(u, v, r)
+  // Both scan `g.offsets`/`g.adj` directly and derive the sampled graph's
+  // salt once (`all` = every edge is kept).
 
   def byUnionFind(g: CSRGraph, sampler: EdgeSampler = null, r: Int = -1): Array[Int] = {
     val uf = new UnionFind(g.n)
+    val all = r < 0
+    val rs = if (all) 0L else sampler.saltOf(r)
+    val off = g.offsets; val adj = g.adj
     var u = 0
     while (u < g.n) {
-      g.foreachNeighbor(u) { v =>
-        if (u < v && keep(sampler, u, v, r)) uf.union(u, v)
+      var i = off(u)
+      val end = off(u + 1)
+      while (i < end) {
+        val v = adj(i)
+        if (u < v && (all || sampler.sampleSalted(u, v, rs))) uf.union(u, v)
+        i += 1
       }
       u += 1
     }
@@ -35,17 +42,24 @@ object LocalCC {
 
   def byColoring(g: CSRGraph, sampler: EdgeSampler = null, r: Int = -1): Array[Int] = {
     val label = Array.tabulate(g.n)(identity)
+    val all = r < 0
+    val rs = if (all) 0L else sampler.saltOf(r)
+    val off = g.offsets; val adj = g.adj
     var changed = true
     while (changed) {
       changed = false
       var u = 0
       while (u < g.n) {
-        g.foreachNeighbor(u) { v =>
-          if (u < v && keep(sampler, u, v, r)) {
+        var i = off(u)
+        val end = off(u + 1)
+        while (i < end) {
+          val v = adj(i)
+          if (u < v && (all || sampler.sampleSalted(u, v, rs))) {
             val lu = label(u); val lv = label(v)
             if (lu < lv) { label(v) = lu; changed = true }
             else if (lv < lu) { label(u) = lv; changed = true }
           }
+          i += 1
         }
         u += 1
       }

@@ -31,18 +31,22 @@ object InfluenceEval {
       if (!s.visited(v)) { s.visit(v); s.queue(tail) = v; tail += 1 }
       i += 1
     }
+    val rs = sampler.saltOf(sim)
+    val off = g.offsets; val adj = g.adj
     var head = 0
-    var activated = tail
     while (head < tail) {
       val u = s.queue(head); head += 1
-      g.foreachNeighbor(u) { w =>
-        if (!s.visited(w) && sampler.sample(u, w, sim)) {
+      var j = off(u)
+      val end = off(u + 1)
+      while (j < end) {
+        val w = adj(j)
+        if (!s.visited(w) && sampler.sampleSalted(u, w, rs)) {
           s.visit(w); s.queue(tail) = w; tail += 1
-          activated += 1
         }
+        j += 1
       }
     }
-    activated
+    tail
   }
 
   /** Local parallel estimate over `sims` simulations. */

@@ -153,14 +153,6 @@ object PTree {
     x.score
   }
 
-  /** In-order ids (best-first) — test helper. */
-  def toList(t: Node): List[Int] = {
-    val b = List.newBuilder[Int]
-    def go(x: Node): Unit = if (x != null) { go(x.left); b += x.id; go(x.right) }
-    go(t)
-    b.result()
-  }
-
   /** Structural byte estimate: object header + 2 refs + score + id + size + prio. */
   def bytes(t: Node): Long = 48L * size(t)
 }

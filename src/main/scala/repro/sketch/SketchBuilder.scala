@@ -49,6 +49,13 @@ object SketchBuilder {
   /** Build a SketchSet from per-sketch canonical CC labelings.
     * `ccOf(r)` must return, for sketch r, an n-array mapping each vertex
     * to the minimum vertex id of its component in G'_r.
+    *
+    * The R sketches are split into at most `Par.threads` contiguous
+    * ranges, built in parallel. Each range keeps plain partial sums of
+    * the initial scores (n longs) and a representative array indexed by
+    * CC label; the partial sums are merged once, in parallel, into the
+    * first. No atomic or boxed operation is made per vertex, and the sums
+    * take at most `Par.threads`·8n bytes, the result included.
     */
   def fromCCLabels(g: CSRGraph, sampler: EdgeSampler, numSketches: Int,
                    centers: Array[Int])(ccOf: Int => Array[Int]): SketchSet = {
@@ -65,34 +72,48 @@ object SketchBuilder {
     // size is in hand before compression discards it) — the MixGreedy
     // first-seed observation; it also means selection counts only
     // RE-evaluations, as in the paper's Tab. 5.
-    val initSums = new java.util.concurrent.atomic.AtomicLongArray(n)
-    Par.parFor(numSketches) { r =>
-      val cc = ccOf(r)
-      val sizeByLabel = LocalCC.sizesOf(cc)
-      var v = 0
-      while (v < n) { initSums.addAndGet(v, sizeByLabel(cc(v)).toLong); v += 1 }
-      // Representative center index per component = the smallest center
-      // index whose center lies in that component (centers are sorted by
-      // vertex id, so a forward scan fills each component's rep first).
-      val rep = new java.util.HashMap[Integer, Integer]()
-      val lab = new Array[Int](rho)
-      val siz = new Array[Int](rho)
-      var j = 0
-      while (j < rho) {
-        val l = cc(centers(j))
-        val prev = rep.putIfAbsent(Int.box(l), Int.box(j))
-        lab(j) = if (prev == null) j else prev.intValue()
-        j += 1
+    val pieces = math.min(numSketches, Par.threads)
+    val partial = new Array[Array[Long]](pieces)
+    Par.parRanges(numSketches, pieces) { (c, lo, hi) =>
+      val sum = new Array[Long](n)
+      // Representative center index per component label, -1 if none yet.
+      val rep = Array.fill(n)(-1)
+      var r = lo
+      while (r < hi) {
+        val cc = ccOf(r)
+        val sizeByLabel = LocalCC.sizesOf(cc)
+        var v = 0
+        while (v < n) { sum(v) += sizeByLabel(cc(v)); v += 1 }
+        // Representative = the smallest center index whose center lies in
+        // the component (centers are sorted by vertex id, so a forward scan
+        // fills each component's rep first); only it holds the size.
+        val lab = new Array[Int](rho)
+        val siz = new Array[Int](rho)
+        var j = 0
+        while (j < rho) {
+          val l = cc(centers(j))
+          if (rep(l) < 0) { rep(l) = j; lab(j) = j; siz(j) = sizeByLabel(l) }
+          else lab(j) = rep(l)
+          j += 1
+        }
+        j = 0
+        while (j < rho) { rep(cc(centers(j))) = -1; j += 1 }
+        labels(r) = lab
+        sizes(r) = siz
+        r += 1
       }
-      j = 0
-      while (j < rho) {
-        siz(j) = if (lab(j) == j) sizeByLabel(cc(centers(j))) else 0
-        j += 1
-      }
-      labels(r) = lab
-      sizes(r) = siz
+      partial(c) = sum
     }
-    val initScores = Array.tabulate(n)(initSums.get)
+    val initScores = partial(0)
+    Par.parRanges(n, Par.threads) { (_, lo, hi) =>
+      var c = 1
+      while (c < pieces) {
+        val part = partial(c)
+        var v = lo
+        while (v < hi) { initScores(v) += part(v); v += 1 }
+        c += 1
+      }
+    }
     new SketchSet(g, sampler, numSketches, centers, centerIndex, labels, sizes, initScores)
   }
 

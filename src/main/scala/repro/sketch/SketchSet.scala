@@ -48,7 +48,10 @@ final class SketchSet(
   val rho: Int = centers.length
   private val isSeed = new Array[Boolean](g.n)
 
-  /** Total vertices visited by all GetCenter BFS — the Thm-3.1 metric. */
+  /** Total vertices visited by the GetCenter BFS of `marginal` calls —
+    * the Thm-3.1 metric. MarkSeed's searches are not counted: they are not
+    * evaluations.
+    */
   val visitCounter = new LongAdder
 
   /** Fresh copy with independent `sizes` (for running several selectors
@@ -62,62 +65,81 @@ final class SketchSet(
     */
   def sketchBytes: Long = 8L * R * rho + 4L * g.n
 
-  /** Alg. 3 GetCenter: (δ, l) where δ is v's marginal influence on sketch
-    * r and l the representative center index of v's component (-1 if the
-    * component has no center). BFS over the implicit G'_r; stops at the
-    * first center or the first seed (either determines the answer).
+  /** Alg. 3 GetCenter, packed: `(δ << 32) | (l & 0xffffffffL)`, where δ
+    * is v's marginal influence on sketch r and l the representative center
+    * index of v's component (-1 if the component has no center); read them
+    * back with [[SketchSet.delta]] and [[SketchSet.center]].
+    *
+    * BFS over the implicit G'_r, with r's salt derived once; stops at the
+    * first center or the first seed (either determines the answer). Uses
+    * the caller's scratch `s` (the calling thread's own) and adds the
+    * vertices it visits to `s.visits`; it allocates nothing and writes no
+    * shared state.
     */
-  def getCenter(r: Int, v: Int): (Int, Int) = {
-    if (isSeed(v)) return (0, -1)
+  def getCenter(r: Int, v: Int, s: Scratch): Long = {
+    if (isSeed(v)) return SketchSet.NoGain
     val ci = centerIndex(v)
     if (ci >= 0) {
-      visitCounter.increment()
+      s.visits += 1
       val l = labels(r)(ci)
-      return (sizes(r)(l), l)
+      return SketchSet.pack(sizes(r)(l), l)
     }
-    val s = Scratch.local(g.n)
+    search(r, v, s)
+  }
+
+  // GetCenter's BFS from a non-center, non-seed v, kept out of getCenter so
+  // that the center path (every call at α = 1) stays small enough to inline.
+  private def search(r: Int, v: Int, s: Scratch): Long = {
+    val rs = sampler.saltOf(r)
+    val off = g.offsets; val adj = g.adj
     s.reset()
     s.visit(v)
     s.queue(0) = v
     var head = 0; var tail = 1
-    var visited = 1
     while (head < tail) {
       val u = s.queue(head); head += 1
-      var found = -1
-      g.foreachNeighbor(u) { w =>
-        if (found < 0 && !s.visited(w) && sampler.sample(u, w, r)) {
+      var i = off(u)
+      val end = off(u + 1)
+      while (i < end) {
+        val w = adj(i)
+        if (!s.visited(w) && sampler.sampleSalted(u, w, rs)) {
           val cw = centerIndex(w)
-          if (cw >= 0) found = cw
-          else if (isSeed(w)) found = -2
-          else {
-            s.visit(w); s.queue(tail) = w; tail += 1
-            visited += 1
+          if (cw >= 0) {
+            s.visits += tail + 1
+            val l = labels(r)(cw)
+            return SketchSet.pack(sizes(r)(l), l)
           }
+          if (isSeed(w)) { s.visits += tail; return SketchSet.NoGain }
+          s.visit(w); s.queue(tail) = w; tail += 1
         }
-      }
-      if (found == -2) { visitCounter.add(visited.toLong); return (0, -1) }
-      if (found >= 0) {
-        visitCounter.add(visited.toLong + 1)
-        val l = labels(r)(found)
-        return (sizes(r)(l), l)
+        i += 1
       }
     }
-    visitCounter.add(visited.toLong)
-    (visited, -1)
+    s.visits += tail
+    SketchSet.pack(tail, -1)
   }
 
   /** Alg. 3 Marginal times R: the exact sum of δ_r over all R sketches
-    * (< R·n, so it cannot overflow a Long).
+    * (< R·n, so it cannot overflow a Long). Adds the GetCenter visits to
+    * `visitCounter` once per call (once per range when `parallel`).
     */
   def marginal(v: Int, parallel: Boolean = false): Long = {
     if (parallel) {
-      Par.parSumL(R)(r => getCenter(r, v)._1.toLong)
-    } else {
-      var sum = 0L
-      var r = 0
-      while (r < R) { sum += getCenter(r, v)._1; r += 1 }
-      sum
-    }
+      val pieces = math.min(R, Par.threads)
+      val gains = new Array[Long](pieces)
+      Par.parRanges(R, pieces) { (c, lo, hi) => gains(c) = marginalOver(v, lo, hi) }
+      gains.sum
+    } else marginalOver(v, 0, R)
+  }
+
+  private def marginalOver(v: Int, lo: Int, hi: Int): Long = {
+    val s = Scratch.local(g.n)
+    val visits0 = s.visits
+    var sum = 0L
+    var r = lo
+    while (r < hi) { sum += SketchSet.delta(getCenter(r, v, s)); r += 1 }
+    visitCounter.add(s.visits - visits0)
+    sum
   }
 
   /** Alg. 3 MarkSeed: zero the influence of v's component on every
@@ -125,11 +147,24 @@ final class SketchSet(
     */
   def markSeed(v: Int): Unit = {
     Par.parFor(R) { r =>
-      val (_, l) = getCenter(r, v)
+      val l = SketchSet.center(getCenter(r, v, Scratch.local(g.n)))
       if (l >= 0) sizes(r)(l) = 0
     }
     isSeed(v) = true
   }
 
   def seeded(v: Int): Boolean = isSeed(v)
+}
+
+object SketchSet {
+  /** GetCenter's answer for a vertex whose component holds a seed. */
+  private final val NoGain = 0xffffffffL // pack(0, -1)
+
+  @inline private def pack(delta: Int, l: Int): Long = (delta.toLong << 32) | (l & 0xffffffffL)
+
+  /** δ of a packed GetCenter answer. */
+  @inline def delta(packed: Long): Int = (packed >> 32).toInt
+
+  /** Representative center index of a packed GetCenter answer, or -1. */
+  @inline def center(packed: Long): Int = packed.toInt
 }

@@ -1,5 +1,6 @@
 package repro.util
 
+import java.util.concurrent.{ForkJoinPool, ForkJoinWorkerThread}
 import java.util.stream.IntStream
 
 /** Shared-memory fork-join helpers.
@@ -23,6 +24,21 @@ object Par {
     out
   }
 
+  /** Threads a parallel loop can run on: the common pool's workers plus
+    * the calling thread, which joins in.
+    */
+  def threads: Int = ForkJoinPool.getCommonPoolParallelism + 1
+
+  /** Parallel for over `pieces` contiguous ranges that split [0, n) as
+    * evenly as possible: `body(piece, lo, hi)` covers [lo, hi). For loops
+    * that keep per-range state (a partial sum array, a scratch) and merge
+    * it once, instead of writing shared state per index.
+    */
+  def parRanges(n: Int, pieces: Int)(body: (Int, Int, Int) => Unit): Unit =
+    parFor(pieces) { c =>
+      body(c, (n.toLong * c / pieces).toInt, (n.toLong * (c + 1) / pieces).toInt)
+    }
+
   /** Parallel sum of a per-index Long function. */
   def parSumL(n: Int)(f: Int => Long): Long = {
     val acc = new java.util.concurrent.atomic.LongAdder
@@ -34,12 +50,15 @@ object Par {
 /** Reusable, allocation-free BFS scratch: a stamp-versioned visited array
   * plus an int queue, sized for vertex ids below `n`. One instance per
   * thread (see [[Scratch.local]]); `reset()` is O(1) by bumping the
-  * version stamp.
+  * version stamp. `visits` is a running tally that a BFS may add its
+  * visit count to, so that a caller can total many searches without a
+  * shared counter write per search; `reset()` leaves it alone.
   */
 final class Scratch(val n: Int) {
   private val stamp = new Array[Int](n)
   private var version = 0
   val queue = new Array[Int](n)
+  var visits: Long = 0L
 
   def reset(): Unit = {
     version += 1
@@ -53,12 +72,32 @@ object Scratch {
   // One instance per thread, replaced only by a larger one: a scratch of
   // size n serves every graph with at most n vertices, so a long-lived
   // thread holds 8·max(n) bytes, not 8n for every n it has seen.
+  //
+  // Common-pool workers erase their ThreadLocals after each top-level task,
+  // so a ThreadLocal would hand them a new 8n-byte scratch for nearly every
+  // parallel task. They keep theirs in `workers`, indexed by pool index
+  // (an index belongs to one live worker at a time); other threads use
+  // `pool`. Only a worker writes its own slot, under the lock that also
+  // guards growing the array, so a copy never drops a slot.
   private val pool = new ThreadLocal[Scratch]
+  @volatile private var workers = new Array[Scratch](0)
 
-  /** Thread-local scratch for graphs with at most n vertices. */
-  def local(n: Int): Scratch = {
-    val s = pool.get()
-    if (s != null && s.n >= n) s
-    else { val t = new Scratch(n); pool.set(t); t }
+  /** This thread's scratch for graphs with at most n vertices. */
+  def local(n: Int): Scratch = Thread.currentThread() match {
+    case w: ForkJoinWorkerThread if w.getPool eq ForkJoinPool.commonPool() =>
+      val i = w.getPoolIndex
+      val ws = workers
+      val s = if (i < ws.length) ws(i) else null
+      if (s != null && s.n >= n) s else setWorker(i, new Scratch(n))
+    case _ =>
+      val s = pool.get()
+      if (s != null && s.n >= n) s
+      else { val t = new Scratch(n); pool.set(t); t }
+  }
+
+  private def setWorker(i: Int, s: Scratch): Scratch = synchronized {
+    if (i >= workers.length) workers = java.util.Arrays.copyOf(workers, math.max(i + 1, 2 * workers.length))
+    workers(i) = s
+    s
   }
 }

@@ -2,11 +2,20 @@ package repro
 
 import repro.graph.CSRGraph
 import repro.sample.EdgeSampler
+import repro.util.Rand
 
 /** Brute-force reference implementations the real code is checked
   * against. Everything here is deliberately simple and slow.
   */
 object TestRefs {
+
+  /** Is {u, v} in sampled graph r? The sampling formula written out on its
+    * own: a 53-bit hash of the edge key and the graph's salt, scaled to
+    * [0, 1) as a double and compared with p_e. It shares no code with
+    * `EdgeSampler`'s salt or threshold path.
+    */
+  def sampleRef(sampler: EdgeSampler, u: Int, v: Int, r: Int): Boolean =
+    Rand.hash01(Rand.edgeKey(u, v), Rand.mix2(sampler.salt, r.toLong)) <= sampler.model.prob(u, v)
 
   /** Canonical CC labels (min vertex id per component) of sampled graph
     * r via plain BFS; r < 0 means all edges.
@@ -22,7 +31,7 @@ object TestRefs {
           val u = frontier.head
           frontier = frontier.tail
           g.foreachNeighbor(u) { w =>
-            if (label(w) == -1 && (r < 0 || sampler.sample(u, w, r))) {
+            if (label(w) == -1 && (r < 0 || sampleRef(sampler, u, w, r))) {
               label(w) = v
               frontier = w :: frontier
             }
@@ -32,6 +41,49 @@ object TestRefs {
       v += 1
     }
     label
+  }
+
+  /** Vertices GetCenter visits for v on sampled graph r: a FIFO BFS over
+    * neighbors in ascending order that stops at the first sampled neighbor
+    * that is a center (counted) or a seed (not counted); a center v costs
+    * one visit, a seed v none.
+    */
+  def getCenterVisits(g: CSRGraph, sampler: EdgeSampler, r: Int, v: Int,
+                      isCenter: Int => Boolean, isSeed: Int => Boolean): Long = {
+    if (isSeed(v)) return 0L
+    if (isCenter(v)) return 1L
+    val seen = scala.collection.mutable.Set(v)
+    val queue = scala.collection.mutable.Queue(v)
+    while (queue.nonEmpty) {
+      val u = queue.dequeue()
+      val it = g.neighbors(u).iterator.filter(w => !seen(w) && sampleRef(sampler, u, w, r))
+      while (it.hasNext) {
+        val w = it.next()
+        if (isCenter(w)) return seen.size + 1L
+        if (isSeed(w)) return seen.size.toLong
+        seen += w
+        queue.enqueue(w)
+      }
+    }
+    seen.size.toLong
+  }
+
+  /** Sketch assembly the plain way, one sketch at a time with a HashMap
+    * from CC label to representative center index: (labels, sizes,
+    * initScores) as `SketchBuilder.fromCCLabels` must produce them.
+    */
+  def assembleRef(n: Int, centers: Array[Int],
+                  ccs: Seq[Array[Int]]): (Seq[Seq[Int]], Seq[Seq[Int]], Seq[Long]) = {
+    val init = new Array[Long](n)
+    val perSketch = ccs.map { cc =>
+      val size = cc.groupBy(identity).view.mapValues(_.length).toMap
+      (0 until n).foreach(v => init(v) += size(cc(v)))
+      val rep = scala.collection.mutable.HashMap.empty[Int, Int]
+      val lab = centers.indices.map(j => rep.getOrElseUpdate(cc(centers(j)), j))
+      val siz = centers.indices.map(j => if (lab(j) == j) size(cc(centers(j))) else 0)
+      (lab, siz)
+    }
+    (perSketch.map(_._1), perSketch.map(_._2), init.toSeq)
   }
 
   /** R × the sketch-estimated influence σ̂(S): the total over the R

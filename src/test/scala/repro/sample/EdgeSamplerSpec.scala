@@ -1,8 +1,10 @@
 package repro.sample
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestRefs
 import repro.graph.GraphGen
-import repro.prob.{Constant, UniformHash, WIC}
+import repro.prob.{Constant, ProbModel, UniformHash, WIC}
+import repro.util.Rand
 
 class ProbModelSpec extends AnyFunSuite {
 
@@ -35,6 +37,32 @@ class ProbModelSpec extends AnyFunSuite {
     val m = WIC.of(g)
     assert(math.abs(m.prob(0, 1) - 2.0 / 5) < 1e-12)
     assert(m.prob(1, 2) == 1.0) // two degree-1 vertices (not an edge, still defined)
+  }
+
+  test("threshold is floor(p * 2^53) and agrees with the double test at the boundary") {
+    val twoTo53 = 9007199254740992L
+    assert(1.1102230246251565e-16 == math.pow(2, -53)) // the factor of Rand.hash01
+    assert(ProbModel.threshold(0.0) == 0L && ProbModel.threshold(1.0) == twoTo53)
+    assert(ProbModel.threshold(0.5) == twoTo53 / 2)
+    assert(ProbModel.threshold(Double.MinPositiveValue) == 0L)
+    val rng = new Rand.Pcg(5)
+    val ps = Seq(0.02, 0.2, 0.3, 1.0 / 3, math.nextDown(1.0), Double.MinPositiveValue) ++
+      Seq.fill(2000)(rng.nextDouble()) ++ Seq.fill(500)(rng.nextDouble() * 1e-12)
+    ps.foreach { p =>
+      val t = ProbModel.threshold(p)
+      Seq(t - 1, t, t + 1).filter(h => h >= 0 && h < twoTo53).foreach { h =>
+        assert((h <= t) == (h * 1.1102230246251565e-16 <= p), s"p=$p h=$h t=$t")
+      }
+    }
+  }
+
+  test("threshold(u, v) of every model is ProbModel.threshold(prob(u, v))") {
+    val g = GraphGen.rmat(256, 1500, seed = 22)
+    Seq(Constant(0.02), Constant(1.0), UniformHash(0.0, 0.3), WIC.of(g)).foreach { m =>
+      g.edgeList.foreach { case (u, v) =>
+        assert(m.threshold(u, v) == ProbModel.threshold(m.prob(u, v)), s"${m.label} ($u, $v)")
+      }
+    }
   }
 
   test("WIC is symmetric") {
@@ -91,6 +119,53 @@ class EdgeSamplerSpec extends AnyFunSuite {
       val p = m.prob(e, e + 1)
       val rate = (0 until 20000).count(r => s.sample(e, e + 1, r)).toDouble / 20000
       assert(math.abs(rate - p) < 0.02, s"edge $e: p=$p rate=$rate")
+    }
+  }
+
+  test("sample and sampleSalted(saltOf(r)) equal the reference draw over a sweep of (edge, r)") {
+    val g = GraphGen.rmat(1024, 6000, seed = 62)
+    val edges = g.edgeList
+    val rs = (0 until 14) ++ Seq(1 << 20, Int.MaxValue - 1023, Int.MaxValue)
+    assert(edges.length.toLong * rs.length >= 100000L)
+    val models = Seq(Constant(0.0), Constant(0.02), Constant(0.2), Constant(0.5), Constant(1.0),
+                     UniformHash(0.0, 0.3), UniformHash(0.0, 1.0), WIC.of(g))
+    val salts = Seq(EdgeSampler.SketchSalt, EdgeSampler.EvalSalt, EdgeSampler.RisSalt)
+    for (m <- models; salt <- salts) {
+      val s = new EdgeSampler(m, salt)
+      var hits = 0L
+      rs.foreach { r =>
+        val rsalt = s.saltOf(r)
+        edges.foreach { case (u, v) =>
+          val ref = TestRefs.sampleRef(s, u, v, r)
+          if (s.sample(u, v, r) != ref || s.sampleSalted(v, u, rsalt) != ref)
+            fail(s"${m.label} salt=$salt r=$r ($u, $v): reference $ref")
+          if (ref) hits += 1
+        }
+      }
+      if (m == Constant(0.0)) assert(hits == 0L)
+      if (m == Constant(1.0)) assert(hits == edges.length.toLong * rs.length)
+    }
+  }
+
+  test("golden: sampled edges of a fixed R-MAT graph for r in 0..7") {
+    // Count and XOR of the sampled (edge, r) pairs, each edge key tagged with
+    // r in bits 58..60; recorded from the hash01-and-double form of the sampler.
+    val g = GraphGen.rmat(1024, 6000, seed = 61)
+    assert(g.m == 5943)
+    val golden = Seq(
+      Constant(0.1) -> (4819L, 0x100002900000027cL),
+      UniformHash(0.0, 0.3) -> (7200L, 0x000003f2000003d8L),
+      WIC.of(g) -> (1329L, 0x0800014a000003a7L),
+    )
+    golden.foreach { case (m, expect) =>
+      val s = EdgeSampler.forSketches(m)
+      var count = 0L
+      var xor = 0L
+      for (r <- 0 until 8; (u, v) <- g.edgeList) if (s.sample(u, v, r)) {
+        count += 1
+        xor ^= Rand.edgeKey(u, v) ^ (r.toLong << 58)
+      }
+      assert((count, xor) == expect, m.label)
     }
   }
 

@@ -32,6 +32,14 @@ class PTreeSpec extends AnyFunSuite {
   private def refSort(ids: Seq[Int], score: Int => Long): Seq[Int] =
     ids.sortWith((a, b) => Key.better(score(a), a, score(b), b))
 
+  /** In-order ids (best-first). */
+  private def toList(t: PTree.Node): List[Int] = {
+    val b = List.newBuilder[Int]
+    def go(x: PTree.Node): Unit = if (x != null) { go(x.left); b += x.id; go(x.right) }
+    go(t)
+    b.result()
+  }
+
   private def randomScores(n: Int, seed: Int, distinctVals: Int = 50): Array[Long] = {
     val rng = new Rand.Pcg(seed)
     Array.fill(n)(rng.nextInt(distinctVals).toLong) // deliberate ties
@@ -43,7 +51,7 @@ class PTreeSpec extends AnyFunSuite {
       val scores = randomScores(n, s)
       val t = PTree.build(n, scores(_))
       assert(PTree.size(t) == n)
-      assert(PTree.toList(t) == refSort(0 until n, scores(_)).toList, s"seed $s")
+      assert(toList(t) == refSort(0 until n, scores(_)).toList, s"seed $s")
     }
   }
 
@@ -63,7 +71,7 @@ class PTreeSpec extends AnyFunSuite {
       val t = PTree.build(n, scores(_))
       val (top, rest) = PTree.splitAndRemove(t, k)
       assert(top.toSeq == ref.take(k))
-      assert(PTree.toList(rest) == ref.drop(k).toList)
+      assert(toList(rest) == ref.drop(k).toList)
       assert(PTree.size(rest) == n - k)
     }
   }
@@ -97,7 +105,7 @@ class PTreeSpec extends AnyFunSuite {
     batch.foreach(v => scores(v) = scores(v) / 2)
     t = PTree.batchInsert(t, batch, scores(_))
     assert(PTree.size(t) == n)
-    assert(PTree.toList(t) == refSort(0 until n, scores(_)).toList)
+    assert(toList(t) == refSort(0 until n, scores(_)).toList)
   }
 
   test("interleaved split/insert keeps the reference order (fuzz)") {
@@ -116,7 +124,7 @@ class PTreeSpec extends AnyFunSuite {
       live -= keepOut
       t = PTree.batchInsert(t, batch.filter(_ != keepOut), scores(_))
       assert(PTree.size(t) == live.size)
-      assert(PTree.toList(t) == refSort(live.toSeq, scores(_)).toList)
+      assert(toList(t) == refSort(live.toSeq, scores(_)).toList)
     }
   }
 

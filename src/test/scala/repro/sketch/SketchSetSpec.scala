@@ -160,6 +160,37 @@ class SketchSetSpec extends AnyFunSuite {
     assert(sk.visitCounter.sum() == 8)
   }
 
+  test("markSeed leaves visitCounter unchanged") {
+    val g = GraphGen.rmat(512, 3000, seed = 43)
+    val sk = SketchBuilder.build(g, Constant(0.1), 16, 0.1)
+    sk.marginal(7)
+    val before = sk.visitCounter.sum()
+    assert(before > 0)
+    Seq(7, 100, 301).foreach(sk.markSeed)
+    assert(sk.visitCounter.sum() == before)
+  }
+
+  test("one marginal call adds exactly the GetCenter visits a plain BFS predicts") {
+    val g = GraphGen.erdosRenyi(80, 160, seed = 44)
+    val model = Constant(0.5)
+    val numSk = 6
+    val sampler = EdgeSampler.forSketches(model)
+    val sk = SketchBuilder.build(g, model, numSk, alpha = 0.1)
+    val isCenter = sk.centers.toSet
+    val seeds = Seq(11, 52)
+    seeds.foreach(sk.markSeed)
+    (0 until g.n).foreach { v =>
+      val expect = (0 until numSk).map { r =>
+        TestRefs.getCenterVisits(g, sampler, r, v, isCenter, seeds.contains)
+      }.sum
+      Seq(false, true).foreach { parallel =>
+        val before = sk.visitCounter.sum()
+        sk.marginal(v, parallel)
+        assert(sk.visitCounter.sum() - before == expect, s"v=$v parallel=$parallel")
+      }
+    }
+  }
+
   test("markSeed zeroes exactly the component's representative size") {
     val g = GraphGen.path(10) // one CC when p=1
     val sk = SketchBuilder.build(g, Constant(1.0), 2, 1.0)

@@ -120,6 +120,23 @@ class ParSpec extends AnyFunSuite {
     }
   }
 
+  test("Scratch.local keeps one instance per common-pool worker across parallel loops") {
+    // Common-pool workers erase their ThreadLocals between top-level tasks;
+    // each task sleeps so that the workers take many of them.
+    val seen = new java.util.concurrent.ConcurrentHashMap[Thread, java.util.Set[Scratch]]
+    (1 to 5).foreach { _ =>
+      Par.parFor(64) { _ =>
+        seen.computeIfAbsent(Thread.currentThread(), _ => java.util.concurrent.ConcurrentHashMap.newKeySet[Scratch]())
+          .add(Scratch.local(100))
+        Thread.sleep(1)
+      }
+    }
+    val perThread = seen.values.toArray(Array.empty[java.util.Set[Scratch]])
+    assert(perThread.length > 1, "the loop ran on one thread")
+    perThread.foreach(s => assert(s.size == 1, s"${s.size} scratch instances on one thread"))
+    assert(perThread.map(_.iterator.next()).distinct.length == perThread.length)
+  }
+
   test("Scratch.local reuses a larger instance for a smaller n") {
     onFreshThread {
       val big = Scratch.local(200)

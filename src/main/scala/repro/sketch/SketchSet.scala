@@ -143,12 +143,19 @@ final class SketchSet(
   }
 
   /** Alg. 3 MarkSeed: zero the influence of v's component on every
-    * sketch where that component is represented by a center.
+    * sketch where that component is represented by a center. The R
+    * sketches are split into one contiguous range per thread, as in
+    * `marginal(parallel = true)`, each with the thread's own scratch.
     */
   def markSeed(v: Int): Unit = {
-    Par.parFor(R) { r =>
-      val l = SketchSet.center(getCenter(r, v, Scratch.local(g.n)))
-      if (l >= 0) sizes(r)(l) = 0
+    Par.parRanges(R, math.min(R, Par.threads)) { (_, lo, hi) =>
+      val s = Scratch.local(g.n)
+      var r = lo
+      while (r < hi) {
+        val l = SketchSet.center(getCenter(r, v, s))
+        if (l >= 0) sizes(r)(l) = 0
+        r += 1
+      }
     }
     isSeed(v) = true
   }

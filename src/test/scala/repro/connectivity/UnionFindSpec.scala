@@ -8,38 +8,6 @@ import repro.sample.EdgeSampler
 
 class UnionFindSpec extends AnyFunSuite {
 
-  test("singletons before any union") {
-    val uf = new UnionFind(5)
-    assert(uf.componentCount == 5)
-    (0 until 5).foreach(v => assert(uf.find(v) == v && uf.componentSize(v) == 1))
-  }
-
-  test("union merges and is idempotent") {
-    val uf = new UnionFind(4)
-    assert(uf.union(0, 1))
-    assert(!uf.union(1, 0))
-    assert(uf.sameSet(0, 1) && !uf.sameSet(0, 2))
-    assert(uf.componentSize(0) == 2 && uf.componentCount == 3)
-  }
-
-  test("transitive connectivity") {
-    val uf = new UnionFind(6)
-    uf.union(0, 1); uf.union(1, 2); uf.union(3, 4)
-    assert(uf.sameSet(0, 2))
-    assert(!uf.sameSet(2, 3))
-    assert(uf.componentSize(4) == 2)
-    assert(uf.componentCount == 3)
-  }
-
-  test("labels are the component minimum") {
-    val uf = new UnionFind(6)
-    uf.union(5, 3); uf.union(3, 1); uf.union(0, 4)
-    val l = uf.labels
-    assert(l(5) == 1 && l(3) == 1 && l(1) == 1)
-    assert(l(0) == 0 && l(4) == 0)
-    assert(l(2) == 2)
-  }
-
   test("random graphs: UF labels == BFS labels") {
     (0 until 10).foreach { s =>
       val g = GraphGen.erdosRenyi(300, 200 + 50 * s, seed = 100 + s)

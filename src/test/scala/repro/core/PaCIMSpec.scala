@@ -50,6 +50,14 @@ class PaCIMSpec extends AnyFunSuite {
     }
   }
 
+  test("run on an empty graph returns no seeds") {
+    val g = repro.graph.CSRGraph.fromEdges(0, Nil)
+    Seq(new CelfSelector(), new PTreeSelector(), new WinTreeSelector()).foreach { s =>
+      val res = PaCIM.run(g, Constant(0.05), k = 3, numSketches = 8, alpha = 0.5, selector = s)
+      assert(res.seeds.isEmpty, s.getClass.getSimpleName)
+    }
+  }
+
   test("compressed run uses less sketch memory") {
     val g = GraphGen.rmat(2048, 10000, seed = 62)
     val a = PaCIM.run(g, Constant(0.05), 10, 32, alpha = 1.0)

@@ -2,7 +2,7 @@ package repro.sketch
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestRefs
-import repro.graph.GraphGen
+import repro.graph.{CSRGraph, GraphGen}
 import repro.prob.{Constant, UniformHash}
 import repro.sample.EdgeSampler
 
@@ -199,6 +199,39 @@ class SketchSetSpec extends AnyFunSuite {
     (0 until 2).foreach { r =>
       assert(sk.sizes(r)(0) == 0)
       (0 until 10).foreach(v => assert(sk.marginal(v) == 0L))
+    }
+  }
+
+  test("blockSize: ceil(R / threads) capped at 16, at least 1") {
+    val expected = Map(
+      (1, 1) -> 1, (1, 4) -> 1, (1, 16) -> 1,
+      (4, 1) -> 4, (4, 4) -> 1, (4, 16) -> 1,
+      (5, 1) -> 5, (5, 4) -> 2, (5, 16) -> 1,
+      (256, 1) -> 16, (256, 4) -> 16, (256, 16) -> 16)
+    expected.foreach { case ((r, t), b) =>
+      assert(SketchBuilder.blockSize(1000, r, t) == b, s"R=$r threads=$t")
+    }
+    assert(SketchBuilder.blockSize(0, 256, 4) == 16)
+  }
+
+  test("blockSize keeps n * B within Int.MaxValue for n near 2^31") {
+    for (n <- Seq(1 << 27, (1 << 27) + 1, 1 << 30, Int.MaxValue); r <- Seq(1, 5, 256); t <- Seq(1, 4, 16)) {
+      val b = SketchBuilder.blockSize(n, r, t)
+      assert(b >= 1 && n.toLong * b <= Int.MaxValue, s"n=$n R=$r threads=$t B=$b")
+    }
+    assert(SketchBuilder.blockSize(1 << 27, 256, 4) == 15)
+    assert(SketchBuilder.blockSize(1 << 30, 256, 4) == 1)
+    assert(SketchBuilder.blockSize(Int.MaxValue, 256, 4) == 1)
+  }
+
+  test("an empty graph builds rho = 0 sketches with empty initScores") {
+    val g = CSRGraph.fromEdges(0, Nil)
+    alphas.foreach { a =>
+      Seq(SketchBuilder.CCAlgo.UnionFind, SketchBuilder.CCAlgo.Coloring).foreach { algo =>
+        val sk = SketchBuilder.build(g, Constant(0.5), 5, a, algo)
+        assert(sk.R == 5 && sk.rho == 0 && sk.initScores.isEmpty, s"alpha=$a $algo")
+        assert(sk.labels.forall(_.isEmpty) && sk.sizes.forall(_.isEmpty))
+      }
     }
   }
 }

@@ -3,8 +3,6 @@ package repro.baseline
 import repro.core.InfluenceEval
 import repro.graph.CSRGraph
 import repro.prob.ProbModel
-import repro.sample.EdgeSampler
-import repro.util.Par
 
 /** GeneralGreedy [43] (Tab. 2 row 1): the original greedy algorithm that
   * estimates every σ(S ∪ {v}) with fresh Monte-Carlo experiments and
@@ -15,13 +13,10 @@ import repro.util.Par
 object GeneralGreedy {
 
   def run(g: CSRGraph, model: ProbModel, k: Int, mcRounds: Int = 200): Array[Int] = {
-    val sampler = EdgeSampler.forEval(model)
     val seeds = scala.collection.mutable.ArrayBuffer.empty[Int]
     val inSeeds = new Array[Boolean](g.n)
 
-    def sigma(s: Array[Int]): Double =
-      Par.parSumL(mcRounds)(sim => InfluenceEval.simulate(g, s, sampler, sim).toLong)
-        .toDouble / mcRounds
+    def sigma(s: Array[Int]): Double = InfluenceEval.estimate(g, s, model, mcRounds)
 
     var round = 0
     while (round < math.min(k, g.n)) {

@@ -143,21 +143,26 @@ final class SketchSet(
   }
 
   /** Alg. 3 MarkSeed: zero the influence of v's component on every
-    * sketch where that component is represented by a center. The R
-    * sketches are split into one contiguous range per thread, as in
+    * sketch where that component is represented by a center. For a
+    * center v each GetCenter is two array reads, and one loop over the R
+    * sketches costs less than forking it. Otherwise the R sketches are
+    * split into one contiguous range per thread, as in
     * `marginal(parallel = true)`, each with the thread's own scratch.
     */
   def markSeed(v: Int): Unit = {
-    Par.parRanges(R, math.min(R, Par.threads)) { (_, lo, hi) =>
-      val s = Scratch.local(g.n)
-      var r = lo
-      while (r < hi) {
-        val l = SketchSet.center(getCenter(r, v, s))
-        if (l >= 0) sizes(r)(l) = 0
-        r += 1
-      }
-    }
+    if (centerIndex(v) >= 0) markRange(v, 0, R)
+    else Par.parRanges(R, math.min(R, Par.threads)) { (_, lo, hi) => markRange(v, lo, hi) }
     isSeed(v) = true
+  }
+
+  private def markRange(v: Int, lo: Int, hi: Int): Unit = {
+    val s = Scratch.local(g.n)
+    var r = lo
+    while (r < hi) {
+      val l = SketchSet.center(getCenter(r, v, s))
+      if (l >= 0) sizes(r)(l) = 0
+      r += 1
+    }
   }
 
   def seeded(v: Int): Boolean = isSeed(v)

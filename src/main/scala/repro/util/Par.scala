@@ -53,12 +53,19 @@ object Par {
   * version stamp. `visits` is a running tally that a BFS may add its
   * visit count to, so that a caller can total many searches without a
   * shared counter write per search; `reset()` leaves it alone.
+  *
+  * `seen` and `pending` are per-vertex 64-bit masks for a BFS that runs
+  * up to 64 searches at once (`InfluenceEval.simulateBlock`). They are
+  * allocated on first use, so a thread that only runs single searches
+  * (GetCenter, MarkSeed, RR sets) never holds their 16n bytes.
   */
 final class Scratch(val n: Int) {
   private val stamp = new Array[Int](n)
   private var version = 0
   val queue = new Array[Int](n)
   var visits: Long = 0L
+  lazy val seen: Array[Long] = new Array[Long](n)
+  lazy val pending: Array[Long] = new Array[Long](n)
 
   def reset(): Unit = {
     version += 1
@@ -71,7 +78,8 @@ final class Scratch(val n: Int) {
 object Scratch {
   // One instance per thread, replaced only by a larger one: a scratch of
   // size n serves every graph with at most n vertices, so a long-lived
-  // thread holds 8·max(n) bytes, not 8n for every n it has seen.
+  // thread holds 8·max(n) bytes (24·max(n) once it has run a Monte-Carlo
+  // block), not that much for every n it has seen.
   //
   // Common-pool workers erase their ThreadLocals after each top-level task,
   // so a ThreadLocal would hand them a new 8n-byte scratch for nearly every

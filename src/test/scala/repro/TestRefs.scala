@@ -43,6 +43,23 @@ object TestRefs {
     label
   }
 
+  /** Vertices activated in IC simulation `sim` (the sampler's sampled
+    * graph `sim`) from `seeds`, seeds included: a plain FIFO BFS, one
+    * simulation at a time.
+    */
+  def simulateRef(g: CSRGraph, sampler: EdgeSampler, seeds: Seq[Int], sim: Int): Int = {
+    val seen = scala.collection.mutable.Set.empty[Int]
+    val queue = scala.collection.mutable.Queue.empty[Int]
+    seeds.foreach(v => if (seen.add(v)) queue.enqueue(v))
+    while (queue.nonEmpty) {
+      val u = queue.dequeue()
+      g.foreachNeighbor(u) { w =>
+        if (!seen(w) && sampleRef(sampler, u, w, sim)) { seen += w; queue.enqueue(w) }
+      }
+    }
+    seen.size
+  }
+
   /** Vertices GetCenter visits for v on sampled graph r: a FIFO BFS over
     * neighbors in ascending order that stops at the first sampled neighbor
     * that is a center (counted) or a seed (not counted); a center v costs

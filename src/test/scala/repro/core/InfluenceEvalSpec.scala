@@ -1,9 +1,14 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop.propBoolean
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGens.{check, graph, model}
+import repro.TestRefs
 import repro.graph.{CSRGraph, GraphGen}
 import repro.prob.Constant
 import repro.sample.EdgeSampler
+import repro.util.{Par, Scratch}
 
 class InfluenceEvalSpec extends AnyFunSuite {
 
@@ -57,5 +62,50 @@ class InfluenceEvalSpec extends AnyFunSuite {
     val g = GraphGen.grid(20, 20)
     val est = InfluenceEval.estimate(g, Array(0, 100, 399), Constant(0.2), 200)
     assert(est >= 3.0 && est <= g.n)
+  }
+
+  test("estimate rejects sims <= 0") {
+    val g = GraphGen.path(3)
+    Seq(0, -1).foreach { sims =>
+      intercept[IllegalArgumentException](InfluenceEval.estimate(g, Array(0), Constant(0.5), sims))
+    }
+  }
+
+  test("blockSize: ceil(sims / threads) capped at 64, at least 1") {
+    assert(InfluenceEval.blockSize(1, 4) == 1)
+    assert(InfluenceEval.blockSize(63, 4) == 16)
+    assert(InfluenceEval.blockSize(65, 4) == 17)
+    assert(InfluenceEval.blockSize(256, 4) == 64)
+    assert(InfluenceEval.blockSize(10000, 4) == 64)
+    assert(InfluenceEval.blockSize(Int.MaxValue, 1) == 64)
+  }
+
+  // sims around one 64-bit block and past two; seed sets may repeat a
+  // vertex or be empty.
+  private val cases = for {
+    n <- Gen.choose(0, 80)
+    g <- graph(n)
+    m <- model(g)
+    sims <- Gen.oneOf(1, 63, 64, 65, 130)
+    k <- Gen.choose(0, if (n == 0) 0 else 6)
+    picks <- Gen.listOfN(k, Gen.choose(0, math.max(0, n - 1)))
+    dup <- Gen.oneOf(true, false)
+    b <- Gen.choose(1, 64)
+  } yield (g, m, sims, if (dup) picks ++ picks.take(1) else picks, b)
+
+  test("the block kernel equals one plain BFS per simulation") {
+    check(Prop.forAllNoShrink(cases) { case (g, m, sims, seeds, b) =>
+      val sampler = EdgeSampler.forEval(m)
+      val expect = (0 until sims).map(TestRefs.simulateRef(g, sampler, seeds, _).toLong).sum
+      // One thread running every block of size b in turn on its one scratch.
+      val s = Scratch.local(g.n)
+      val sequential = (0 until sims by b).map { s0 =>
+        InfluenceEval.simulateBlock(g, seeds.toArray, sampler, s0, math.min(b, sims - s0), s)
+      }.sum
+      val est = InfluenceEval.estimate(g, seeds.toArray, m, sims)
+      val where = s"n=${g.n} edges=${g.edgeList.mkString(",")} ${m.label} sims=$sims seeds=$seeds"
+      (est == expect.toDouble / sims) :| s"estimate $est * $sims != $expect, threads=${Par.threads}, $where" &&
+        (sequential == expect) :| s"blocks of $b in turn: $sequential != $expect, $where"
+    }, 200)
   }
 }

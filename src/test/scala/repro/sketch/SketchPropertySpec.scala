@@ -1,12 +1,13 @@
 package repro.sketch
 
-import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.{Gen, Prop}
 import org.scalacheck.Prop.propBoolean
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGens.{check, graph, model}
 import repro.TestRefs
 import repro.connectivity.LocalCC
 import repro.graph.CSRGraph
-import repro.prob.{Constant, ProbModel, UniformHash, WIC}
+import repro.prob.ProbModel
 import repro.sample.EdgeSampler
 
 /** The sketch invariants as properties over generated graphs and all three
@@ -17,35 +18,14 @@ import repro.sample.EdgeSampler
   */
 class SketchPropertySpec extends AnyFunSuite {
 
-  private def randomGraph(n: Int): Gen[CSRGraph] =
-    if (n == 0) Gen.const(CSRGraph.fromEdges(0, Nil))
-    else {
-      val vertex = Gen.choose(0, n - 1)
-      for {
-        m <- Gen.choose(0, 2 * n)
-        pairs <- Gen.listOfN(m, Gen.zip(vertex, vertex))
-      } yield CSRGraph.fromEdges(n, pairs.filter { case (u, v) => u != v })
-    }
-
-  private def model(g: CSRGraph): Gen[ProbModel] = Gen.oneOf(
-    Gen.oneOf(0.1, 0.4, 0.8, 1.0).map(Constant(_)),
-    Gen.zip(Gen.choose(0.0, 0.5), Gen.choose(0.0, 0.5)).map { case (a, b) => UniformHash(a, a + b) },
-    Gen.const(WIC.of(g)),
-  )
-
   private val cases = for {
     n <- Gen.choose(1, 60)
-    g <- randomGraph(n)
+    g <- graph(n)
     m <- model(g)
     r <- Gen.choose(1, 12)
     prefix <- Gen.choose(0, math.min(4, n))
     seeds <- Gen.pick(prefix, 0 until n)
   } yield (g, m, r, seeds.toList)
-
-  private def check(prop: Prop, runs: Int): Unit = {
-    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(runs), prop)
-    assert(res.passed, res.status)
-  }
 
   test("marginal is alpha-invariant and equals the brute-force gain, before and after markSeed") {
     check(Prop.forAllNoShrink(cases) { case (g, m, r, seeds) =>
@@ -89,7 +69,7 @@ class SketchPropertySpec extends AnyFunSuite {
   // blocks than threads.
   private val blockCases = for {
     n <- Gen.choose(0, 60)
-    g <- randomGraph(n)
+    g <- graph(n)
     m <- model(g)
     alpha <- Gen.oneOf(0.0, 0.1, 0.5, 1.0)
     r <- Gen.choose(1, 40)

@@ -1,8 +1,11 @@
 package repro.sketch
 
-import repro.SparkSpec
+import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop.propBoolean
+import repro.{SparkSpec, TestGens}
+import repro.core.InfluenceEval
 import repro.graph.GraphGen
-import repro.prob.{Constant, UniformHash}
+import repro.prob.{Constant, UniformHash, WIC}
 
 class SparkSketchBuilderSpec extends SparkSpec {
 
@@ -49,18 +52,37 @@ class SparkSketchBuilderSpec extends SparkSpec {
 
 class SparkInfluenceSpec extends SparkSpec {
 
+  // A few generated graphs, each under all three models, with sims that
+  // give a single block, a partial last block and full blocks.
   test("sparkEstimate is bit-identical to the local estimate") {
-    val g = GraphGen.rmat(512, 3000, seed = 604)
-    val model = Constant(0.05)
-    val seeds = Array(1, 17, 33, 257)
-    val local = repro.core.InfluenceEval.estimate(g, seeds, model, 200)
-    val dist = repro.core.InfluenceEval.sparkEstimate(spark, g, seeds, model, 200)
-    assert(local == dist)
+    val graphs = for {
+      n <- Gen.choose(1, 300)
+      g <- TestGens.graph(n)
+      seeds <- Gen.listOfN(4, Gen.choose(0, n - 1))
+    } yield (g, seeds.toArray)
+    TestGens.check(Prop.forAllNoShrink(graphs) { case (g, seeds) =>
+      val cases = for {
+        m <- Seq(Constant(0.3), UniformHash(0.0, 0.4), WIC.of(g))
+        sims <- Seq(1, 65, 200)
+      } yield {
+        val local = InfluenceEval.estimate(g, seeds, m, sims)
+        val dist = InfluenceEval.sparkEstimate(spark, g, seeds, m, sims)
+        (local == dist) :| s"n=${g.n} ${m.label} sims=$sims seeds=${seeds.toSeq}: local $local, Spark $dist"
+      }
+      Prop.all(cases: _*)
+    }, 3)
+  }
+
+  test("sparkEstimate rejects sims <= 0") {
+    val g = GraphGen.path(3)
+    Seq(0, -1).foreach { sims =>
+      intercept[IllegalArgumentException](InfluenceEval.sparkEstimate(spark, g, Array(0), Constant(0.5), sims))
+    }
   }
 
   test("sparkEstimate on exact cases (p=1 components)") {
     val g = repro.graph.CSRGraph.fromEdges(10, Seq((0, 1), (1, 2), (4, 5)))
-    assert(repro.core.InfluenceEval.sparkEstimate(spark, g, Array(0), Constant(1.0), 16) == 3.0)
-    assert(repro.core.InfluenceEval.sparkEstimate(spark, g, Array(0, 4), Constant(1.0), 16) == 5.0)
+    assert(InfluenceEval.sparkEstimate(spark, g, Array(0), Constant(1.0), 16) == 3.0)
+    assert(InfluenceEval.sparkEstimate(spark, g, Array(0, 4), Constant(1.0), 16) == 5.0)
   }
 }

@@ -1,14 +1,13 @@
 package repro.jobs
 
 import repro.graph.GraphGen
-import repro.harness.Workloads
 import repro.prob.Constant
-import repro.connectivity.{DistCC, GraphXCC}
 import repro.core.{InfluenceEval, PaCIM}
 import repro.sketch.SparkSketchBuilder
 
-/** Distributed sketch construction demo: all R sampled graphs' CCs in a
-  * single DataFrame CC job, then PaC-IM seed selection on the result.
+/** Distributed sketch construction demo: all R sketches built in one
+  * Spark job (blocked union-find in the tasks), then PaC-IM seed selection
+  * on the driver and a Spark-distributed influence estimate.
   * Args: [n] [m] [R] [k] [alpha].
   */
 object DistributedSketchJob {
@@ -26,27 +25,6 @@ object DistributedSketchJob {
     val inf = InfluenceEval.sparkEstimate(spark, g, sel.seeds, model, 256)
     println(s"n=$n m=${g.m} R=$r alpha=$alpha seeds=${sel.seeds.take(10).mkString(",")}... " +
       s"evaluations=${sel.evaluations} influence=$inf")
-    spark.stop()
-  }
-}
-
-/** Connectivity cross-check job: DataFrame large/small-star CC vs GraphX
-  * CC on a sampled workload graph. Args: [workload index].
-  */
-object DistCCJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.get("pacim-distcc")
-    import org.apache.spark.sql.functions._
-    val wl = Workloads.all(args.lift(0).map(_.toInt).getOrElse(0) min (Workloads.all.size - 1))
-    val g = wl.graph
-    val edges = g.edgeDF(spark).withColumn("g", lit(0))
-    val df = DistCC.run(spark, edges)
-    val nCompsDf = df.select("label").distinct().count() +
-      (g.n - df.select("v").distinct().count()) // singletons
-    val gx = GraphXCC.labels(spark, g)
-    val nCompsGx = gx.distinct.length
-    println(s"${wl.name}: components DataFrame=$nCompsDf GraphX=$nCompsGx " +
-      s"(match=${nCompsDf == nCompsGx})")
     spark.stop()
   }
 }

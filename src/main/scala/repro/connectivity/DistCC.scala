@@ -10,9 +10,13 @@ import org.apache.spark.sql.functions._
   * be hopeless on road-like graphs.
   *
   * Input: edges with integer columns (g, src, dst), where `g` is a group
-  * id — components are computed independently per group. This is how
-  * [[repro.sketch.SparkSketchBuilder]] computes the CCs of all R sampled
-  * graphs in one distributed job (g = sketch id r).
+  * id — components are computed independently per group, e.g. all R
+  * sampled graphs of [[repro.sketch.SparkSketchBuilder.sampledEdges]]
+  * (g = sketch id r) in one job.
+  *
+  * No program path runs it: the Spark sketch build runs the blocked
+  * union–find in its tasks instead. It stays for the benchmark's traced
+  * probe, which counts its output rows, until that probe is retired.
   *
   * Output: one row (g, v, label) per vertex that appears in some edge of
   * group g; label is the minimum vertex id of v's component. Vertices

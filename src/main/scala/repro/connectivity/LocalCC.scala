@@ -19,23 +19,22 @@ import repro.util.Rand
   *    where #iterations is the max sampled-component diameter.
   *
   * Both return the canonical labeling: label(v) = min vertex id in v's
-  * component of the sampled graph `G'_r` (r < 0 means "use all edges").
+  * component of the sampled graph `G'_r`. (A whole graph is the sampled
+  * graph of p = 1: its threshold 2^53 is above every 53-bit hash.)
   */
 object LocalCC {
 
-  /** Union–find over the b sampled graphs r0 until r0 + b (all edges when
-    * r0 < 0, which needs b = 1), in b forests interleaved vertex-major:
-    * `par(v·b + j)` is v's parent in the forest of graph r0 + j, so the b
-    * finds of one endpoint share cache lines. `par` needs n·b entries; its
-    * old contents are ignored.
+  /** Union–find over the b sampled graphs r0 until r0 + b, in b forests
+    * interleaved vertex-major: `par(v·b + j)` is v's parent in the forest
+    * of graph r0 + j, so the b finds of one endpoint share cache lines.
+    * `par` needs n·b entries; its old contents are ignored.
     *
     * A union links the larger root under the smaller, so every root is the
     * minimum vertex id of its component and par(v) < v for every non-root
     * (path halving keeps both); [[labelOf]] relies on it.
     */
   def uniteBlock(g: CSRGraph, sampler: EdgeSampler, r0: Int, b: Int, par: Array[Int]): Unit = {
-    val all = r0 < 0
-    require(b >= 1 && (!all || b == 1), s"block of $b sampled graphs from r0=$r0")
+    require(b >= 1, s"block of $b sampled graphs")
     val n = g.n
     require(par.length.toLong >= n.toLong * b, s"par has ${par.length} < n·b = ${n.toLong * b} entries")
     var x = 0
@@ -45,8 +44,8 @@ object LocalCC {
       while (x < end) { par(x) = v; x += 1 }
       v += 1
     }
-    val salts = if (all) null else Array.tabulate(b)(j => sampler.saltOf(r0 + j))
-    val model = if (all) null else sampler.model
+    val salts = Array.tabulate(b)(j => sampler.saltOf(r0 + j))
+    val model = sampler.model
     val off = g.offsets; val adj = g.adj
     var u = 0
     while (u < n) {
@@ -55,17 +54,14 @@ object LocalCC {
       while (i < end) {
         val w = adj(i)
         if (u < w) {
-          if (all) link(par, 1, 0, u, w)
-          else {
-            // sampleSalted(u, w, salts(j)) with the r-independent half hoisted:
-            // mix2(key, s) = mix64(mix64(key) ^ s).
-            val h0 = Rand.mix64(Rand.edgeKey(u, w))
-            val t = model.threshold(u, w)
-            var j = 0
-            while (j < b) {
-              if ((Rand.mix64(h0 ^ salts(j)) >>> 11) <= t) link(par, b, j, u, w)
-              j += 1
-            }
+          // sampleSalted(u, w, salts(j)) with the r-independent half hoisted:
+          // mix2(key, s) = mix64(mix64(key) ^ s).
+          val h0 = Rand.mix64(Rand.edgeKey(u, w))
+          val t = model.threshold(u, w)
+          var j = 0
+          while (j < b) {
+            if ((Rand.mix64(h0 ^ salts(j)) >>> 11) <= t) link(par, b, j, u, w)
+            j += 1
           }
         }
         i += 1
@@ -107,20 +103,19 @@ object LocalCC {
     }
   }
 
-  /** Canonical labels of sampled graph r (all edges when r < 0): the
-    * blocked kernel on a block of one sketch.
+  /** Canonical labels of sampled graph r: the blocked kernel on a block of
+    * one sketch.
     */
-  def byUnionFind(g: CSRGraph, sampler: EdgeSampler = null, r: Int = -1): Array[Int] = {
+  def byUnionFind(g: CSRGraph, sampler: EdgeSampler, r: Int): Array[Int] = {
     val par = new Array[Int](g.n)
     uniteBlock(g, sampler, r, 1, par)
     labelOf(par, 1, 0, par)
     par
   }
 
-  def byColoring(g: CSRGraph, sampler: EdgeSampler = null, r: Int = -1): Array[Int] = {
+  def byColoring(g: CSRGraph, sampler: EdgeSampler, r: Int): Array[Int] = {
     val label = Array.tabulate(g.n)(identity)
-    val all = r < 0
-    val rs = if (all) 0L else sampler.saltOf(r)
+    val rs = sampler.saltOf(r)
     val off = g.offsets; val adj = g.adj
     var changed = true
     while (changed) {
@@ -131,7 +126,7 @@ object LocalCC {
         val end = off(u + 1)
         while (i < end) {
           val v = adj(i)
-          if (u < v && (all || sampler.sampleSalted(u, v, rs))) {
+          if (u < v && sampler.sampleSalted(u, v, rs)) {
             val lu = label(u); val lv = label(v)
             if (lu < lv) { label(v) = lu; changed = true }
             else if (lv < lu) { label(u) = lv; changed = true }

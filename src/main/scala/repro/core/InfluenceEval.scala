@@ -151,22 +151,15 @@ object InfluenceEval {
     val sc = spark.sparkContext
     val b = blockSize(sims, sc.defaultParallelism)
     val numBlocks = blocks(sims, b)
-    val bcOffsets = sc.broadcast(g.offsets)
-    val bcAdj = sc.broadcast(g.adj)
-    val bcSeeds = sc.broadcast(seeds)
-    val bcModel = sc.broadcast(model)
-    val n = g.n
-    try {
-      val total = sc.range(0, numBlocks, numSlices = math.min(numBlocks, 64)).mapPartitions { it =>
-        val gg = CSRGraph.wrap(n, bcOffsets.value, bcAdj.value)
-        val sampler = EdgeSampler.forEval(bcModel.value)
+    val total = CSRGraph.broadcasting(sc, g, (seeds, model)) { shipped =>
+      sc.range(0, numBlocks, numSlices = math.min(numBlocks, 64)).mapPartitions { it =>
+        val (gg, (ss, m)) = shipped()
+        val sampler = EdgeSampler.forEval(m)
         var sum = 0L
-        it.foreach(k => sum += runBlock(gg, bcSeeds.value, sampler, sims, b, k.toInt))
+        it.foreach(k => sum += runBlock(gg, ss, sampler, sims, b, k.toInt))
         Iterator.single(sum)
       }.sum()
-      total / sims
-    } finally {
-      bcOffsets.destroy(); bcAdj.destroy(); bcSeeds.destroy(); bcModel.destroy()
     }
+    total / sims
   }
 }

@@ -1,5 +1,8 @@
 package repro.graph
 
+import scala.reflect.ClassTag
+
+import org.apache.spark.SparkContext
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.util.Rand
 
@@ -118,6 +121,21 @@ object CSRGraph {
   def wrap(n: Int, offsets: Array[Int], adj: Array[Int]): CSRGraph = {
     require(offsets.length == n + 1 && offsets(n) == adj.length)
     new CSRGraph(n, offsets, adj)
+  }
+
+  /** Runs `job` with g's CSR arrays and `extra` broadcast to the cluster,
+    * and destroys the broadcasts when it returns. `job` gets a
+    * serializable function that, inside a task, returns g (wrapped around
+    * the broadcast arrays, not copied) and `extra`.
+    */
+  def broadcasting[T: ClassTag, A](sc: SparkContext, g: CSRGraph, extra: T)
+                                  (job: (() => (CSRGraph, T)) => A): A = {
+    val n = g.n
+    val bcOffsets = sc.broadcast(g.offsets)
+    val bcAdj = sc.broadcast(g.adj)
+    val bcExtra = sc.broadcast(extra)
+    try job(() => (wrap(n, bcOffsets.value, bcAdj.value), bcExtra.value))
+    finally { bcOffsets.destroy(); bcAdj.destroy(); bcExtra.destroy() }
   }
 
   /** Build from (u, v) pairs (order/duplication insensitive). */

@@ -15,7 +15,9 @@ import repro.util.{Par, Rand}
   *    [[LocalCC.uniteBlock]], which hashes every edge once for the whole
   *    block, and each of its sketches is assembled right after (labels,
   *    sizes, representative centers, partial initial scores) into
-  *    per-thread arrays, so no n-array is allocated per sketch;
+  *    per-thread arrays, so no n-array is allocated per sketch. The
+  *    Spark build ([[SparkSketchBuilder]]) runs the same per-range
+  *    routine ([[buildBlocks]]) in its tasks;
   *  - [[CCAlgo.Coloring]] — min-label propagation, the algorithm the
   *    paper attributes to InfuserMG's sketch phase; one sketch at a time
   *    through [[fromCCLabels]]. Same output, pays a factor of the
@@ -31,16 +33,16 @@ object SketchBuilder {
   }
 
   /** Uniformly random ρ = round(αn) centers (sorted by vertex id),
-    * deterministic in `seed` — Sec. 3's uniform center selection.
+    * deterministic in n and α — Sec. 3's uniform center selection.
     */
-  def chooseCenters(n: Int, alpha: Double, seed: Long = 0xce57e5L): Array[Int] = {
+  def chooseCenters(n: Int, alpha: Double): Array[Int] = {
     require(alpha >= 0 && alpha <= 1, s"alpha=$alpha out of [0,1]")
     val rho = math.round(alpha * n).toInt
     if (rho == 0) return Array.empty
     if (rho == n) return Array.tabulate(n)(identity)
     // Partial Fisher–Yates over [0, n).
     val perm = Array.tabulate(n)(identity)
-    val rng = new Rand.Pcg(seed)
+    val rng = new Rand.Pcg(CenterSeed)
     var i = 0
     while (i < rho) {
       val j = i + rng.nextInt(n - i)
@@ -65,6 +67,7 @@ object SketchBuilder {
   }
 
   private final val MaxBlock = 16
+  private final val CenterSeed = 0xce57e5L
 
   /** Build a SketchSet from per-sketch canonical CC labelings.
     * `ccOf(r)` must return, for sketch r, an n-array mapping each vertex
@@ -79,80 +82,95 @@ object SketchBuilder {
 
   /** Local parallel build (what the benches use). */
   def build(g: CSRGraph, model: ProbModel, numSketches: Int, alpha: Double,
-            ccAlgo: CCAlgo = CCAlgo.UnionFind, centerSeed: Long = 0xce57e5L): SketchSet = {
+            ccAlgo: CCAlgo = CCAlgo.UnionFind): SketchSet = {
     val sampler = EdgeSampler.forSketches(model)
-    val centers = chooseCenters(g.n, alpha, centerSeed)
+    val centers = chooseCenters(g.n, alpha)
     ccAlgo match {
-      case CCAlgo.UnionFind => byBlocks(g, sampler, numSketches, centers)
+      case CCAlgo.UnionFind =>
+        val b = blockSize(g.n, numSketches, Par.threads)
+        assemble(g, sampler, numSketches, centers, blocks(numSketches, b)) { (lo, hi, asm) =>
+          buildBlocks(g, sampler, numSketches, b, lo, hi, asm)
+        }
       case CCAlgo.Coloring =>
         fromCCLabels(g, sampler, numSketches, centers)(LocalCC.byColoring(g, sampler, _))
     }
   }
 
-  // The sketches in blocks of [[blockSize]]: one blocked union–find per
-  // block, then each of its sketches is labelled into one reused n-array
-  // and assembled at once. A range of blocks holds B·4n + 4n bytes of CC
-  // state, allocated here and dropped with the range.
-  private def byBlocks(g: CSRGraph, sampler: EdgeSampler, numSketches: Int,
-                       centers: Array[Int]): SketchSet = {
+  /** Blocks of b sketches that hold `numSketches`. */
+  private[sketch] def blocks(numSketches: Int, b: Int): Int = ((numSketches.toLong + b - 1) / b).toInt
+
+  /** The union–find build of blocks lo until hi, where block k holds
+    * sketches k·b until min((k+1)·b, numSketches), on the calling thread:
+    * one blocked union–find per block, then each of its sketches is
+    * labelled into one reused n-array and added to `asm` at once. Both
+    * engines run it, the local one on a range of blocks per thread and
+    * the Spark one on a range per task. It holds b·4n + 4n bytes of CC
+    * state, allocated here and dropped on return.
+    */
+  private[sketch] def buildBlocks(g: CSRGraph, sampler: EdgeSampler, numSketches: Int, b: Int,
+                                  lo: Int, hi: Int, asm: Assembly): Unit = {
     val n = g.n
-    val b = blockSize(n, numSketches, Par.threads)
-    val blocks = ((numSketches.toLong + b - 1) / b).toInt
-    assemble(g, sampler, numSketches, centers, blocks) { (lo, hi, asm) =>
-      val par = new Array[Int](n * b)
-      val cc = new Array[Int](n)
-      var k = lo
-      while (k < hi) {
-        val r0 = k * b
-        val bk = math.min(b, numSketches - r0)
-        LocalCC.uniteBlock(g, sampler, r0, bk, par)
-        var j = 0
-        while (j < bk) {
-          LocalCC.labelOf(par, bk, j, cc)
-          asm.add(r0 + j, cc)
-          j += 1
-        }
-        k += 1
+    val par = new Array[Int](n * b)
+    val cc = new Array[Int](n)
+    var k = lo
+    while (k < hi) {
+      val r0 = k * b
+      val bk = math.min(b, numSketches - r0)
+      LocalCC.uniteBlock(g, sampler, r0, bk, par)
+      var j = 0
+      while (j < bk) {
+        LocalCC.labelOf(par, bk, j, cc)
+        asm.add(r0 + j, cc)
+        j += 1
       }
+      k += 1
     }
   }
 
-  /** The parallel skeleton of both builds. `units` (sketches or blocks)
-    * are split into at most `Par.threads` contiguous ranges, built in
-    * parallel; `body(lo, hi, asm)` feeds the range's sketches to its own
-    * [[Assembly]]. Each assembly keeps plain partial sums of the initial
-    * scores (n longs); they are merged once, in parallel, into the first.
-    * No atomic or boxed operation is made per vertex, and the sums take at
-    * most `Par.threads`·8n bytes, the result included.
+  /** The parallel skeleton of the local builds. `units` (sketches or
+    * blocks) are split into at most `Par.threads` contiguous ranges, built
+    * in parallel; `body(lo, hi, asm)` feeds the range's sketches to its own
+    * [[Assembly]], whose partial initial scores [[sketchSet]] merges. The
+    * sums take at most `Par.threads`·8n bytes, the result included.
     */
   private def assemble(g: CSRGraph, sampler: EdgeSampler, numSketches: Int, centers: Array[Int],
                        units: Int)(body: (Int, Int, Assembly) => Unit): SketchSet = {
     require(numSketches > 0, s"numSketches=$numSketches must be positive")
-    val n = g.n
-    val centerIndex = Array.fill(n)(-1)
-    var i = 0
-    while (i < centers.length) { centerIndex(centers(i)) = i; i += 1 }
-
     val labels = new Array[Array[Int]](numSketches)
     val sizes = new Array[Array[Int]](numSketches)
     val pieces = math.min(units, Par.threads)
     val partial = new Array[Array[Long]](pieces)
     Par.parRanges(units, pieces) { (c, lo, hi) =>
-      val asm = new Assembly(n, centers, labels, sizes)
+      val asm = new Assembly(g.n, centers, labels, sizes)
       body(lo, hi, asm)
       partial(c) = asm.sum
     }
+    sketchSet(g, sampler, centers, labels, sizes, partial)
+  }
+
+  /** The SketchSet of assembled sketches. `partial` holds the initial
+    * score sums of one or more [[Assembly]]s (n longs each); they are
+    * merged once, in parallel, into the first. No atomic or boxed
+    * operation is made per vertex.
+    */
+  private[sketch] def sketchSet(g: CSRGraph, sampler: EdgeSampler, centers: Array[Int],
+                                labels: Array[Array[Int]], sizes: Array[Array[Int]],
+                                partial: Array[Array[Long]]): SketchSet = {
+    val n = g.n
+    val centerIndex = Array.fill(n)(-1)
+    var i = 0
+    while (i < centers.length) { centerIndex(centers(i)) = i; i += 1 }
     val initScores = partial(0)
     Par.parRanges(n, Par.threads) { (_, lo, hi) =>
       var c = 1
-      while (c < pieces) {
+      while (c < partial.length) {
         val part = partial(c)
         var v = lo
         while (v < hi) { initScores(v) += part(v); v += 1 }
         c += 1
       }
     }
-    new SketchSet(g, sampler, numSketches, centers, centerIndex, labels, sizes, initScores)
+    new SketchSet(g, sampler, labels.length, centers, centerIndex, labels, sizes, initScores)
   }
 
   /** Assembles sketches one at a time on one thread: compresses sketch
@@ -160,8 +178,8 @@ object SketchBuilder {
     * adds every vertex's component size to `sum`. Its n-arrays are reused
     * across sketches.
     */
-  private final class Assembly(n: Int, centers: Array[Int],
-                               labels: Array[Array[Int]], sizes: Array[Array[Int]]) {
+  private[sketch] final class Assembly(n: Int, centers: Array[Int],
+                                       labels: Array[Array[Int]], sizes: Array[Array[Int]]) {
     // Marginal(∅, v) comes free during construction (every vertex's CC
     // size is in hand before compression discards it) — the MixGreedy
     // first-seed observation; it also means selection counts only

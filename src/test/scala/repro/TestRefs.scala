@@ -1,6 +1,7 @@
 package repro
 
 import repro.graph.CSRGraph
+import repro.prob.Constant
 import repro.sample.EdgeSampler
 import repro.util.Rand
 
@@ -16,6 +17,12 @@ object TestRefs {
     */
   def sampleRef(sampler: EdgeSampler, u: Int, v: Int, r: Int): Boolean =
     Rand.hash01(Rand.edgeKey(u, v), Rand.mix2(sampler.salt, r.toLong)) <= sampler.model.prob(u, v)
+
+  /** Keeps every edge in every sampled graph: p = 1 gives the threshold
+    * 2^53, above every 53-bit hash. The real CC code labels a whole graph
+    * as sketch 0 of this sampler.
+    */
+  val allEdges: EdgeSampler = EdgeSampler.forSketches(Constant(1.0))
 
   /** Canonical CC labels (min vertex id per component) of sampled graph
     * r via plain BFS; r < 0 means all edges.

@@ -71,6 +71,13 @@ class DistCCSpec extends SparkSpec {
     assert(rows(4) == 4 && rows(5) == 4)
   }
 
+  test("DistCC, union-find and coloring all agree") {
+    val g = GraphGen.rmat(128, 500, seed = 501)
+    val uf = LocalCC.byUnionFind(g, TestRefs.allEdges, 0)
+    assert(LocalCC.byColoring(g, TestRefs.allEdges, 0).toSeq == uf.toSeq)
+    assert(distLabels(g).toSeq == uf.toSeq)
+  }
+
   test("DistCC agrees with a DuckDB recursive-CTE oracle") {
     val g = GraphGen.erdosRenyi(60, 90, seed = 405)
     import spark.implicits._
@@ -91,39 +98,5 @@ class DistCCSpec extends SparkSpec {
         |)
         |SELECT v, MIN(w) AS label FROM reach GROUP BY v""".stripMargin,
       "edges" -> edgesDf, "vertices" -> verticesDf)
-  }
-}
-
-class GraphXCCSpec extends SparkSpec {
-
-  test("GraphX CC matches BFS on random graphs") {
-    (0 until 3).foreach { s =>
-      val g = GraphGen.erdosRenyi(150, 100 + 80 * s, seed = 500 + s)
-      assert(GraphXCC.labels(spark, g).toSeq == TestRefs.bfsCC(g).toSeq, s"seed $s")
-    }
-  }
-
-  test("GraphX CC matches local union-find on a grid") {
-    val g = GraphGen.grid(12, 12)
-    assert(GraphXCC.labels(spark, g).toSeq == LocalCC.byUnionFind(g).toSeq)
-  }
-
-  test("GraphX, DataFrame, union-find and coloring all agree") {
-    val g = GraphGen.rmat(128, 500, seed = 501)
-    val uf = LocalCC.byUnionFind(g)
-    assert(GraphXCC.labels(spark, g).toSeq == uf.toSeq)
-    assert(LocalCC.byColoring(g).toSeq == uf.toSeq)
-    val edges = g.edgeDF(spark).withColumn("g", lit(0))
-    val rows = DistCC.run(spark, edges).collect()
-    val df = Array.tabulate(g.n)(identity)
-    rows.foreach(r => df(r.getAs[Number]("v").intValue()) = r.getAs[Number]("label").intValue())
-    assert(df.toSeq == uf.toSeq)
-  }
-
-  test("GraphX CC labels isolated vertices with themselves") {
-    val g = CSRGraph.fromEdges(8, Seq((0, 1), (3, 4)))
-    val l = GraphXCC.labels(spark, g)
-    assert(l(2) == 2 && l(5) == 5 && l(6) == 6 && l(7) == 7)
-    assert(l(1) == 0 && l(4) == 3)
   }
 }

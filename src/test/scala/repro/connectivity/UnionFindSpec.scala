@@ -2,6 +2,7 @@ package repro.connectivity
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestRefs
+import repro.TestRefs.allEdges
 import repro.graph.GraphGen
 import repro.prob.Constant
 import repro.sample.EdgeSampler
@@ -11,7 +12,7 @@ class UnionFindSpec extends AnyFunSuite {
   test("random graphs: UF labels == BFS labels") {
     (0 until 10).foreach { s =>
       val g = GraphGen.erdosRenyi(300, 200 + 50 * s, seed = 100 + s)
-      assert(LocalCC.byUnionFind(g).toSeq == TestRefs.bfsCC(g).toSeq, s"seed $s")
+      assert(LocalCC.byUnionFind(g, allEdges, 0).toSeq == TestRefs.bfsCC(g).toSeq, s"seed $s")
     }
   }
 }
@@ -21,14 +22,14 @@ class LocalCCSpec extends AnyFunSuite {
   test("coloring == union-find on full graphs") {
     (0 until 8).foreach { s =>
       val g = GraphGen.erdosRenyi(250, 300, seed = 200 + s)
-      assert(LocalCC.byColoring(g).toSeq == LocalCC.byUnionFind(g).toSeq, s"seed $s")
+      assert(LocalCC.byColoring(g, allEdges, 0).toSeq == LocalCC.byUnionFind(g, allEdges, 0).toSeq, s"seed $s")
     }
   }
 
   test("coloring == union-find on a high-diameter path") {
     val g = GraphGen.path(500)
-    assert(LocalCC.byColoring(g).toSeq == LocalCC.byUnionFind(g).toSeq)
-    assert(LocalCC.byUnionFind(g).forall(_ == 0))
+    assert(LocalCC.byColoring(g, allEdges, 0).toSeq == LocalCC.byUnionFind(g, allEdges, 0).toSeq)
+    assert(LocalCC.byUnionFind(g, allEdges, 0).forall(_ == 0))
   }
 
   test("sampled CC matches BFS on the same sampled graph") {

@@ -101,7 +101,7 @@ class SketchPropertySpec extends AnyFunSuite {
     check(Prop.forAllNoShrink(withBlock) { case (g, m, r, b, r0) =>
       val sampler = EdgeSampler.forSketches(m)
       val where = describe(g, m, r)
-      val single = Prop.all((-1 until r).map { x =>
+      val single = Prop.all((0 until r).map { x =>
         (LocalCC.byUnionFind(g, sampler, x).toSeq == TestRefs.bfsCC(g, sampler, x).toSeq) :|
           s"byUnionFind r=$x, $where"
       }: _*)

@@ -4,7 +4,7 @@ import org.scalacheck.{Gen, Prop}
 import org.scalacheck.Prop.propBoolean
 import repro.{SparkSpec, TestGens}
 import repro.core.InfluenceEval
-import repro.graph.GraphGen
+import repro.graph.{CSRGraph, GraphGen}
 import repro.prob.{Constant, UniformHash, WIC}
 
 class SparkSketchBuilderSpec extends SparkSpec {
@@ -23,19 +23,30 @@ class SparkSketchBuilderSpec extends SparkSpec {
     assert(got == expect)
   }
 
+  // Generated graphs, the empty one included, under every model and
+  // alpha; R up to 40, so that R is often not a multiple of the block size
+  // (and the local and Spark builds may block the sketches differently).
   test("distributed build is bit-identical to the local build") {
-    val g = GraphGen.rmat(200, 900, seed = 602)
-    val model = Constant(0.15)
-    Seq(0.0, 0.2, 1.0).foreach { alpha =>
-      val local = SketchBuilder.build(g, model, 6, alpha)
-      val dist = SparkSketchBuilder.build(spark, g, model, 6, alpha)
-      assert(dist.centers.toSeq == local.centers.toSeq, s"alpha=$alpha")
-      (0 until 6).foreach { r =>
-        assert(dist.labels(r).toSeq == local.labels(r).toSeq, s"alpha=$alpha r=$r labels")
-        assert(dist.sizes(r).toSeq == local.sizes(r).toSeq, s"alpha=$alpha r=$r sizes")
-      }
-      assert(dist.initScores.toSeq == local.initScores.toSeq, s"alpha=$alpha")
-    }
+    def agree(g: CSRGraph, r: Int): Prop = Prop.all((for {
+      m <- Seq(Constant(0.3), UniformHash(0.0, 0.4), WIC.of(g))
+      alpha <- Seq(0.0, 0.1, 0.5, 1.0)
+    } yield {
+      val local = SketchBuilder.build(g, m, r, alpha)
+      val dist = SparkSketchBuilder.build(spark, g, m, r, alpha)
+      val where = s"n=${g.n} ${m.label} R=$r alpha=$alpha"
+      (dist.centers.sameElements(local.centers)) :| s"centers, $where" &&
+        (0 until r).forall(i => dist.labels(i).sameElements(local.labels(i))) :| s"labels, $where" &&
+        (0 until r).forall(i => dist.sizes(i).sameElements(local.sizes(i))) :| s"sizes, $where" &&
+        (dist.initScores.sameElements(local.initScores)) :| s"initScores, $where"
+    }): _*)
+    val sketches = Gen.choose(1, 40)
+    TestGens.check(Prop.forAllNoShrink(TestGens.graph(0), sketches)(agree), 1)
+    val cases = for {
+      n <- Gen.choose(1, 150)
+      g <- TestGens.graph(n)
+      r <- sketches
+    } yield (g, r)
+    TestGens.check(Prop.forAllNoShrink(cases) { case (g, r) => agree(g, r) }, 25)
   }
 
   test("seed selection on distributed-built sketches matches local") {

@@ -106,12 +106,6 @@ object InfluenceEval {
     total
   }
 
-  /** One IC diffusion simulation; returns #activated (including seeds):
-    * the block kernel on a block of one.
-    */
-  def simulate(g: CSRGraph, seeds: Array[Int], sampler: EdgeSampler, sim: Int): Int =
-    simulateBlock(g, seeds, sampler, sim, 1, Scratch.local(g.n)).toInt
-
   /** Simulations per block: ceil(sims / threads), so that every thread
     * gets a block, at most 64 (one bit per simulation in a `Long` mask).
     * Always at least 1.

@@ -141,12 +141,4 @@ object CSRGraph {
   /** Build from (u, v) pairs (order/duplication insensitive). */
   def fromEdges(n: Int, edges: Iterable[(Int, Int)]): CSRGraph =
     fromPackedEdges(n, edges.iterator.map { case (u, v) => Rand.edgeKey(u, v) }.toArray)
-
-  /** Build from a DataFrame with integer-compatible src/dst columns. */
-  def fromEdgeDF(n: Int, df: DataFrame): CSRGraph = {
-    val pairs = df.select("src", "dst").collect().map { r =>
-      (r.get(0).toString.toDouble.toInt, r.get(1).toString.toDouble.toInt)
-    }
-    fromEdges(n, pairs)
-  }
 }

@@ -46,13 +46,6 @@ object Workloads {
 
   /** Appendix (Tab. 6/7) subset, for time budget. */
   val appendix: Seq[Workload] = Seq(EP, SLDT, OK, GER, HT5, CH5)
-
-  /** Tiny workloads for unit tests. */
-  def tiny: Seq[(String, CSRGraph, ProbModel)] = Seq(
-    ("rmat-tiny", GraphGen.rmat(512, 3000, seed = 1), Constant(0.05)),
-    ("grid-tiny", GraphGen.grid(20, 20), Constant(0.2)),
-    ("knn-tiny", GraphGen.knn(400, 4, seed = 2), Constant(0.2)),
-  )
 }
 
 object Workload {

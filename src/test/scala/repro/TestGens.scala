@@ -1,11 +1,20 @@
 package repro
 
 import org.scalacheck.{Gen, Prop, Test}
-import repro.graph.CSRGraph
+import repro.graph.{CSRGraph, GraphGen}
 import repro.prob.{Constant, ProbModel, UniformHash, WIC}
 
-/** ScalaCheck generators shared by the property suites. */
+/** Inputs shared by the test suites: three fixed small graphs, and the
+  * ScalaCheck generators with their runner.
+  */
 object TestGens {
+
+  /** Three fixed small graphs, one per graph class, with their models. */
+  val tiny: Seq[(String, CSRGraph, ProbModel)] = Seq(
+    ("rmat-tiny", GraphGen.rmat(512, 3000, seed = 1), Constant(0.05)),
+    ("grid-tiny", GraphGen.grid(20, 20), Constant(0.2)),
+    ("knn-tiny", GraphGen.knn(400, 4, seed = 2), Constant(0.2)),
+  )
 
   /** A random simple graph on n vertices with up to 2n edge draws (self
     * loops dropped, duplicates merged); the empty graph for n = 0.

@@ -1,7 +1,8 @@
 package repro
 
+import repro.core.InfluenceEval
 import repro.graph.CSRGraph
-import repro.prob.Constant
+import repro.prob.{Constant, ProbModel}
 import repro.sample.EdgeSampler
 import repro.util.Rand
 
@@ -148,4 +149,17 @@ object TestRefs {
     }
     seeds.toArray
   }
+
+  /** GeneralGreedy [43] (Tab. 2 row 1): the original greedy algorithm,
+    * which estimates every σ(S ∪ {v}) with fresh Monte-Carlo simulations
+    * and evaluates all vertices each round, O(n·R'·T) work per seed. An
+    * independent quality oracle for the sketch-based systems on tiny
+    * graphs.
+    */
+  def generalGreedy(g: CSRGraph, model: ProbModel, k: Int, mcRounds: Int): Array[Int] =
+    (0 until math.min(k, g.n)).foldLeft(Vector.empty[Int]) { (seeds, _) =>
+      // σ(S ∪ {v}) has the arg-max of the gain σ(S ∪ {v}) − σ(S); ties go to the smaller id.
+      seeds :+ (0 until g.n).filterNot(seeds.contains)
+        .maxBy(v => InfluenceEval.estimate(g, (seeds :+ v).toArray, model, mcRounds))
+    }.toArray
 }

@@ -44,10 +44,9 @@ class InfluenceEvalSpec extends AnyFunSuite {
     val g = GraphGen.rmat(256, 1500, seed = 71)
     val sampler = EdgeSampler.forEval(Constant(0.1))
     val seeds = Array(1, 2, 3)
-    (0 until 20).foreach { sim =>
-      assert(InfluenceEval.simulate(g, seeds, sampler, sim) ==
-        InfluenceEval.simulate(g, seeds, sampler, sim))
-    }
+    def simulate(sim: Int): Long =
+      InfluenceEval.simulateBlock(g, seeds, sampler, sim, 1, Scratch.local(g.n))
+    (0 until 20).foreach(sim => assert(simulate(sim) == simulate(sim)))
   }
 
   test("monotonicity: adding a seed never lowers sigma") {

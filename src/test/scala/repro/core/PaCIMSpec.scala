@@ -1,8 +1,8 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestRefs
-import repro.baseline.{GeneralGreedy, InfuserMG, StaticGreedy}
+import repro.{TestGens, TestRefs}
+import repro.baseline.{InfuserMG, StaticGreedy}
 import repro.graph.GraphGen
 import repro.prob.Constant
 import repro.sample.EdgeSampler
@@ -22,7 +22,7 @@ class PaCIMSpec extends AnyFunSuite {
   }
 
   test("alpha=1 and alpha=0.1 produce the same seeds (compression is lossless)") {
-    repro.harness.Workloads.tiny.foreach { case (name, g, model) =>
+    TestGens.tiny.foreach { case (name, g, model) =>
       val a = PaCIM.run(g, model, 15, 16, alpha = 1.0)
       val b = PaCIM.run(g, model, 15, 16, alpha = 0.1)
       val c = PaCIM.run(g, model, 15, 16, alpha = 0.0)
@@ -95,7 +95,7 @@ class PaCIMSpec extends AnyFunSuite {
   }
 
   test("InfuserMG baseline (coloring + sequential CELF) selects PaC-IM's seeds") {
-    repro.harness.Workloads.tiny.foreach { case (name, g, model) =>
+    TestGens.tiny.foreach { case (name, g, model) =>
       val ours = PaCIM.run(g, model, 12, 16, 1.0)
       val inf = InfuserMG.run(g, model, 12, 16)
       assert(inf.seeds.toSeq == ours.seeds.toSeq, name)
@@ -103,7 +103,7 @@ class PaCIMSpec extends AnyFunSuite {
   }
 
   test("StaticGreedy baseline (alpha=0 simulation) selects PaC-IM's seeds") {
-    repro.harness.Workloads.tiny.foreach { case (name, g, model) =>
+    TestGens.tiny.foreach { case (name, g, model) =>
       val ours = PaCIM.run(g, model, 12, 16, 1.0)
       val st = StaticGreedy.run(g, model, 12, 16)
       assert(st.seeds.toSeq == ours.seeds.toSeq, name)
@@ -116,7 +116,7 @@ class PaCIMSpec extends AnyFunSuite {
     // must pick one vertex per component, larger first.
     val edges = (0 until 7).map(i => (i, (i + 1) % 8)) ++ Seq((8, 9), (9, 10))
     val g = repro.graph.CSRGraph.fromEdges(11, edges)
-    val mc = GeneralGreedy.run(g, Constant(1.0), 2, mcRounds = 8)
+    val mc = TestRefs.generalGreedy(g, Constant(1.0), 2, mcRounds = 8)
     val sk = PaCIM.run(g, Constant(1.0), 2, 8, 1.0)
     assert(mc.toSeq == sk.seeds.toSeq)
     assert(mc(0) < 8 && mc(1) >= 8)
@@ -125,7 +125,7 @@ class PaCIMSpec extends AnyFunSuite {
   test("GeneralGreedy and PaC-IM reach similar quality on a random graph") {
     val g = GraphGen.erdosRenyi(80, 200, seed = 67)
     val model = Constant(0.2)
-    val mc = GeneralGreedy.run(g, model, 5, mcRounds = 400)
+    val mc = TestRefs.generalGreedy(g, model, 5, mcRounds = 400)
     val sk = PaCIM.run(g, model, 5, numSketches = 400, alpha = 1.0)
     val iMc = InfluenceEval.estimate(g, mc, model, 2000)
     val iSk = InfluenceEval.estimate(g, sk.seeds, model, 2000)

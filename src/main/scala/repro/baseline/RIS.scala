@@ -5,6 +5,7 @@ import java.util.concurrent.atomic.LongAdder
 import repro.graph.CSRGraph
 import repro.prob.ProbModel
 import repro.sample.EdgeSampler
+import repro.select.IdHeap
 import repro.util.{Par, Rand, Scratch}
 
 /** Ripples-style baseline [56, 57]: Reverse Influence Sampling.
@@ -69,8 +70,10 @@ object RIS {
     s
   }
 
-  /** Greedy max coverage (lazy/CELF-accelerated) of the RR sets. */
-  private def maxCover(n: Int, sets: Array[Array[Int]], k: Int): Array[Int] = {
+  /** Greedy max coverage (lazy/CELF-accelerated) of the RR sets: k times
+    * the vertex in the most uncovered sets, the smaller id on ties.
+    */
+  private[baseline] def maxCover(n: Int, sets: Array[Array[Int]], k: Int): Array[Int] = {
     // Inverted index: vertex -> RR-set ids containing it.
     val deg = new Array[Int](n)
     sets.foreach(_.foreach(v => deg(v) += 1))
@@ -86,33 +89,21 @@ object RIS {
     }
     val counts = deg.clone()
     val covered = new Array[Boolean](sets.length)
-    // Lazy greedy with IMMUTABLE queue entries (count, id) snapshotted at
-    // insert time: coverage counts only decrease, so a popped entry whose
-    // snapshot is stale is re-inserted with its current count (CELF-style).
-    // Entries must be immutable — ordering by the live counts array would
-    // silently corrupt the heap as counts change under it.
-    val ord = new Ordering[(Int, Int)] {
-      override def compare(a: (Int, Int), b: (Int, Int)): Int = {
-        val c = java.lang.Integer.compare(a._1, b._1)
-        if (c != 0) c else java.lang.Integer.compare(b._2, a._2) // smaller id wins
-      }
-    }
-    val pq = new scala.collection.mutable.PriorityQueue[(Int, Int)]()(ord)
-    v = 0
-    while (v < n) { pq.enqueue((counts(v), v)); v += 1 }
+    // Lazy greedy (CELF-style): coverage counts only decrease, so the heap
+    // orders vertices by a snapshot of their count, and a popped vertex
+    // whose snapshot is stale goes back with its current count.
+    val snap = Array.tabulate(n)(counts(_).toLong)
+    val heap = new IdHeap(snap)
     val seeds = new Array[Int](math.min(k, n))
-    val taken = new Array[Boolean](n)
     var s = 0
     while (s < seeds.length) {
       var chosen = -1
       while (chosen < 0) {
-        val (snap, top) = pq.dequeue()
-        if (taken(top)) () // skip: already a seed (never happens; safety)
-        else if (counts(top) == snap) chosen = top
-        else pq.enqueue((counts(top), top))
+        val top = heap.pop()
+        if (counts(top) == snap(top)) chosen = top
+        else { snap(top) = counts(top); heap.push(top) }
       }
       seeds(s) = chosen
-      taken(chosen) = true
       var i = off(chosen)
       while (i < off(chosen + 1)) {
         val set = inv(i)

@@ -5,10 +5,12 @@ import repro.util.Par
 
 /** P-tree–based parallel seed selection (Alg. 4).
   *
-  * Per round: extract the top-scoring batch of size 1, 2, 4, … (prefix
-  * doubling) from the tree, re-evaluate each batch *in parallel*, and
-  * stop once the best true score beats the tree's best stale score —
+  * Per round: pop the top-scoring batch of size 1, 2, 4, … (prefix
+  * doubling) from the heap, re-evaluate each batch *in parallel*, and
+  * stop once the best true score beats the heap's best stale score —
   * then the un-chosen evaluated vertices go back with their new scores.
+  * The paper keeps the stale scores in a P-tree; Alg. 4 needs only its
+  * SplitTop, BatchInsert and Max, which the [[IdHeap]] provides.
   *
   * Guarantees (tested): selects exactly CELF's seeds (Thm. 4.1) with at
   * most 2× CELF's evaluations (Thm. 4.2).
@@ -20,8 +22,7 @@ final class PTreeSelector extends Selector {
     require(k >= 0, s"k=$k must be non-negative")
     val n = sk.g.n
     val stale = sk.initScores.clone()
-    var tree = PTree.build(n, stale(_))
-    val structBytes = PTree.bytes(tree) + 8L * n
+    val heap = new IdHeap(stale)
 
     val seeds = new Array[Int](math.min(k, n))
     var evals = 0L
@@ -30,38 +31,29 @@ final class PTreeSelector extends Selector {
       var best = -1
       val pending = Array.newBuilder[Int] // evaluated, not selected
       var batchSize = 1
-      var stop = false
       // Round 0's scores are true scores, and a last remaining vertex
       // wins unevaluated (as CELF's does): take the max directly.
-      if (round == 0 || PTree.size(tree) == 1) {
-        val (ids, rest) = PTree.splitAndRemove(tree, 1)
-        tree = rest
-        best = ids(0)
-        stop = true
-      }
+      var stop = round == 0 || heap.size == 1
+      if (stop) best = heap.pop()
       while (!stop) {
-        val (batch, rest) = PTree.splitAndRemove(tree, batchSize)
-        tree = rest
+        val batch = Array.fill(math.min(batchSize, heap.size))(heap.pop())
         Par.parFor(batch.length)(i => stale(batch(i)) = sk.marginal(batch(i)))
         evals += batch.length
-        var i = 0
-        while (i < batch.length) {
-          val v = batch(i)
+        batch.foreach { v =>
           if (best < 0 || Key.better(stale(v), v, stale(best), best)) {
             if (best >= 0) pending += best
             best = v
           } else pending += v
-          i += 1
         }
-        stop = tree == null ||
-          Key.better(stale(best), best, PTree.maxScore(tree), PTree.maxId(tree))
+        stop = heap.size == 0 || Key.better(stale(best), best, stale(heap.top), heap.top)
         batchSize <<= 1
       }
-      tree = PTree.batchInsert(tree, pending.result(), stale(_))
+      pending.result().foreach(heap.push)
       seeds(round) = best
       sk.markSeed(best)
       round += 1
     }
-    SelectionResult(seeds, evals, structBytes)
+    // Heap ids + stale scores: 4n + 8n.
+    SelectionResult(seeds, evals, 12L * n)
   }
 }

@@ -20,7 +20,7 @@ import repro.sketch.SketchSet
   * depends on thread timing (which is why, as in the paper, Win-Tree has
   * no 2× evaluation bound — Tab. 5 measures what it actually does).
   */
-final class WinTreeSelector(seqCutoffDepth: Int = 8) extends Selector {
+final class WinTreeSelector extends Selector {
   override def name: String = "Win-Tree"
 
   override def select(sk: SketchSet, k: Int): SelectionResult = {
@@ -69,7 +69,8 @@ final class WinTreeSelector(seqCutoffDepth: Int = 8) extends Selector {
 
   /** Alg. 5 FindMax as a ForkJoin task. `parentId` of -2 marks the root
     * (always treated as stale); `depth` switches to sequential recursion
-    * below `seqCutoffDepth` levels from the leaves to bound task overhead.
+    * below [[WinTreeSelector.SeqCutoffDepth]] levels from the root to
+    * bound task overhead.
     */
   private final class FindMax(sk: SketchSet, ids: Array[Int], stale: Array[Long],
                               best: AtomicReference[(Long, Int)], evals: LongAdder,
@@ -90,7 +91,7 @@ final class WinTreeSelector(seqCutoffDepth: Int = 8) extends Selector {
       }
       val left = 2 * t + 1
       if (left >= ids.length) return // leaf
-      if (depth < seqCutoffDepth) {
+      if (depth < WinTreeSelector.SeqCutoffDepth) {
         val lTask = new FindMax(sk, ids, stale, best, evals, left, id, depth + 1)
         val rTask = new FindMax(sk, ids, stale, best, evals, left + 1, id, depth + 1)
         lTask.fork()
@@ -116,6 +117,11 @@ final class WinTreeSelector(seqCutoffDepth: Int = 8) extends Selector {
 }
 
 object WinTreeSelector {
+
+  /** FindMax forks tasks on the top levels of the tree and recurses
+    * sequentially below this depth.
+    */
+  private val SeqCutoffDepth = 8
 
   /** Largest population the tournament tree holds: 2^29 leaves make
     * 2^30 - 1 node ids, and 2^30 leaves would exceed the JVM's array

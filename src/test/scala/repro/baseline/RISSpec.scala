@@ -1,6 +1,9 @@
 package repro.baseline
 
+import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop.propBoolean
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGens
 import repro.core.{InfluenceEval, PaCIM}
 import repro.graph.{CSRGraph, GraphGen}
 import repro.prob.Constant
@@ -59,5 +62,28 @@ class RISSpec extends AnyFunSuite {
     val g = GraphGen.star(12)
     val res = RIS.run(g, Constant(1.0), 3, pilot = 64)
     assert(res.seeds.distinct.length == 3)
+  }
+
+  /** Greedy max coverage written out: k times the vertex, not yet a seed,
+    * in the most uncovered sets, the smaller id on ties.
+    */
+  private def bruteCover(n: Int, sets: Seq[Set[Int]], k: Int): Seq[Int] =
+    (0 until math.min(k, n)).foldLeft(Vector.empty[Int]) { (seeds, _) =>
+      val uncovered = sets.filterNot(set => seeds.exists(set.contains))
+      seeds :+ (0 until n).filterNot(seeds.contains).maxBy(v => (uncovered.count(_.contains(v)), -v))
+    }
+
+  test("max coverage picks brute-force greedy's seeds on set systems with ties") {
+    val cases = for {
+      n <- Gen.choose(1, 25)
+      sets <- Gen.listOf(Gen.choose(0, 4).flatMap(Gen.containerOfN[Set, Int](_, Gen.choose(0, n - 1))))
+      k <- Gen.choose(0, n + 2)
+    } yield (n, sets, k)
+    val prop = Prop.forAllNoShrink(cases) { case (n, sets, k) =>
+      val got = RIS.maxCover(n, sets.map(_.toArray).toArray, k).toSeq
+      val expect = bruteCover(n, sets, k)
+      (got == expect) :| s"n=$n k=$k sets=${sets.map(_.mkString("{", ",", "}")).mkString(",")}: got $got, expected $expect"
+    }
+    TestGens.check(prop, 300)
   }
 }

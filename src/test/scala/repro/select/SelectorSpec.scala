@@ -14,7 +14,6 @@ class SelectorSpec extends AnyFunSuite {
     new CelfSelector(),
     new PTreeSelector(),
     new WinTreeSelector(),
-    new WinTreeSelector(seqCutoffDepth = 0), // fully sequential recursion
   )
 
   private def cases: Seq[(String, CSRGraph, ProbModel, Int)] = Seq(

@@ -19,12 +19,15 @@ class WinTreeSpec extends AnyFunSuite {
     runs.tail.foreach(r => assert(r == runs.head))
   }
 
-  test("parallel and sequential traversal select the same seeds") {
+  test("Win-Tree selects CELF's seeds on a 512-leaf tree, forked and sequential levels alike") {
+    // 512 leaves are nine levels: FindMax forks on the top eight and
+    // recurses sequentially below them.
     val g = GraphGen.erdosRenyi(333, 800, seed = 72)
     val sk = SketchBuilder.build(g, Constant(0.3), 12, 0.2)
-    val par = PaCIM.selectOn(sk, 12, new WinTreeSelector()).seeds.toSeq
-    val seq = PaCIM.selectOn(sk, 12, new WinTreeSelector(seqCutoffDepth = 0)).seeds.toSeq
-    assert(par == seq)
+    assert(WinTreeSelector.leafCount(g.n) == 512)
+    val wt = PaCIM.selectOn(sk, 12, new WinTreeSelector()).seeds.toSeq
+    val celf = PaCIM.selectOn(sk, 12, new CelfSelector()).seeds.toSeq
+    assert(wt == celf)
   }
 
   test("n = 1 graph") {

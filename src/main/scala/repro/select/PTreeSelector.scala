@@ -9,6 +9,9 @@ import repro.util.Par
   * doubling) from the heap, re-evaluate each batch *in parallel*, and
   * stop once the best true score beats the heap's best stale score —
   * then the un-chosen evaluated vertices go back with their new scores.
+  * A batch is cut at the first vertex whose stale score fails to beat
+  * the round's best true score so far, so P-tree evaluates no vertex that
+  * cannot win.
   * The paper keeps the stale scores in a P-tree; Alg. 4 needs only its
   * SplitTop, BatchInsert and Max, which the [[IdHeap]] provides.
   *
@@ -29,6 +32,7 @@ final class PTreeSelector extends Selector {
     var round = 0
     while (round < seeds.length) {
       var best = -1
+      def beatsBest(v: Int): Boolean = best < 0 || Key.better(stale(v), v, stale(best), best)
       val pending = Array.newBuilder[Int] // evaluated, not selected
       var batchSize = 1
       // Round 0's scores are true scores, and a last remaining vertex
@@ -36,16 +40,21 @@ final class PTreeSelector extends Selector {
       var stop = round == 0 || heap.size == 1
       if (stop) best = heap.pop()
       while (!stop) {
-        val batch = Array.fill(math.min(batchSize, heap.size))(heap.pop())
+        // Stale scores bound true ones: once the top fails to beat the
+        // best true score so far, no vertex left can win, so the batch
+        // ends there (and with it the round).
+        val popped = Array.newBuilder[Int]
+        while (popped.length < batchSize && heap.size > 0 && beatsBest(heap.top)) popped += heap.pop()
+        val batch = popped.result()
         Par.parFor(batch.length)(i => stale(batch(i)) = sk.marginal(batch(i)))
         evals += batch.length
         batch.foreach { v =>
-          if (best < 0 || Key.better(stale(v), v, stale(best), best)) {
+          if (beatsBest(v)) {
             if (best >= 0) pending += best
             best = v
           } else pending += v
         }
-        stop = heap.size == 0 || Key.better(stale(best), best, stale(heap.top), heap.top)
+        stop = heap.size == 0 || !beatsBest(heap.top)
         batchSize <<= 1
       }
       pending.result().foreach(heap.push)

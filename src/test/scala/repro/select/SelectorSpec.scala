@@ -60,6 +60,19 @@ class SelectorSpec extends AnyFunSuite {
     }
   }
 
+  test("P-tree stays within 1% of CELF's evaluations on a percolating R-MAT graph") {
+    // After the first seed removes the giant component, CELF re-evaluates
+    // most vertices in round 1, and unfiltered prefix doubling overshoots
+    // that to the next power of two (2079 evaluations against CELF's 1345).
+    val g = GraphGen.rmat(2048, 20000, seed = 61)
+    val sk = SketchBuilder.build(g, Constant(0.02), 32, alpha = 1.0)
+    val celf = PaCIM.selectOn(sk, 10, new CelfSelector())
+    val pt = PaCIM.selectOn(sk, 10, new PTreeSelector())
+    assert(pt.seeds.sameElements(celf.seeds))
+    assert(celf.evaluations <= pt.evaluations && pt.evaluations <= 1.01 * celf.evaluations,
+      s"ptree=${pt.evaluations} celf=${celf.evaluations}")
+  }
+
   test("CELF never evaluates more than P-tree's bound or n per round") {
     cases.foreach { case (name, g, model, k) =>
       val sk = SketchBuilder.build(g, model, 12, alpha = 1.0)

@@ -48,7 +48,7 @@ final class IdHeap(key: Array[Long]) {
 
   @inline private def better(a: Int, b: Int): Boolean = Key.better(key(a), a, key(b), b)
 
-  /** Places v at slot i or below, moving better children up. */
+  /** Places v at slot `from` or below, moving better children up. */
   private def siftDown(v: Int, from: Int): Unit = {
     var i = from
     var c = 2 * i + 1

@@ -20,8 +20,8 @@ class WinTreeSpec extends AnyFunSuite {
   }
 
   test("Win-Tree selects CELF's seeds on a 512-leaf tree, forked and sequential levels alike") {
-    // 512 leaves are nine levels: FindMax forks on the top eight and
-    // recurses sequentially below them.
+    // A 512-leaf tree has its leaves at depth 9, below FindMax's fork
+    // cutoff at depth 8, so the run both forks and recurses sequentially.
     val g = GraphGen.erdosRenyi(333, 800, seed = 72)
     val sk = SketchBuilder.build(g, Constant(0.3), 12, 0.2)
     assert(WinTreeSelector.leafCount(g.n) == 512)

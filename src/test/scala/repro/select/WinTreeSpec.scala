@@ -19,9 +19,11 @@ class WinTreeSpec extends AnyFunSuite {
     runs.tail.foreach(r => assert(r == runs.head))
   }
 
-  test("Win-Tree selects CELF's seeds on a 512-leaf tree, forked and sequential levels alike") {
-    // A 512-leaf tree has its leaves at depth 9, below FindMax's fork
-    // cutoff at depth 8, so the run both forks and recurses sequentially.
+  test("parallel and sequential traversal select the same seeds") {
+    // Win-Tree's parallel traversal must pick the seeds of CELF's
+    // sequential one. A 512-leaf tree has its leaves at depth 9, below
+    // FindMax's fork cutoff at depth 8, so the run both forks and
+    // recurses sequentially.
     val g = GraphGen.erdosRenyi(333, 800, seed = 72)
     val sk = SketchBuilder.build(g, Constant(0.3), 12, 0.2)
     assert(WinTreeSelector.leafCount(g.n) == 512)

@@ -10,14 +10,18 @@ import repro.sketch.{SketchBuilder, SketchSet}
   * Step 1 builds R compressed sketches in parallel
   * ([[repro.sketch.SketchBuilder]], Alg. 3); step 2 greedily selects k
   * seeds with a parallel-CELF structure (Win-Tree by default, as in the
-  * paper; P-tree available).
+  * paper, with its bulk refresh of every marginal in rounds that grow
+  * expensive; P-tree, which stays lazy, available).
   *
   * `Ours₁` in the tables = `alpha = 1` (no compression);
   * `Ours₀.₁` = `alpha = 0.1` (10× sketch compression).
   */
 object PaCIM {
 
-  /** Full run record: seeds plus everything the tables report. */
+  /** Full run record: seeds plus everything the tables report.
+    * `evaluations` counts GetCenter marginals only, and `bfsVisits` their
+    * visits; `refreshes` counts Win-Tree's bulk refresh passes.
+    */
   final case class Result(
       seeds: Array[Int],
       evaluations: Long,
@@ -27,6 +31,7 @@ object PaCIM {
       structBytes: Long,
       csrBytes: Long,
       bfsVisits: Long,
+      refreshes: Int = 0,
   ) {
     def totalTimeMs: Long = sketchTimeMs + selectTimeMs
     /** Total modeled footprint: input graph + sketches + selector. */
@@ -52,6 +57,7 @@ object PaCIM {
       structBytes = sel.structBytes,
       csrBytes = g.csrBytes,
       bfsVisits = sk.visitCounter.sum(),
+      refreshes = sel.refreshes,
     )
   }
 

@@ -18,13 +18,19 @@ object Key {
 /** Result of a full k-seed selection.
   *
   * @param seeds        selected seeds in selection order
-  * @param evaluations  number of marginal-gain re-evaluations (Tab. 5's
-  *                     metric; the initial scoring of all n vertices is
-  *                     memoized during sketch construction and not counted,
-  *                     matching the paper's counts that are below n)
+  * @param evaluations  number of marginal-gain re-evaluations, each one
+  *                     GetCenter `marginal` call (Tab. 5's metric; the
+  *                     initial scoring of all n vertices is memoized during
+  *                     sketch construction and not counted, matching the
+  *                     paper's counts that are below n). Bulk refreshes are
+  *                     not evaluations, so visits per evaluation stays the
+  *                     Thm 3.1 metric.
   * @param structBytes  bytes of the priority structure itself
+  * @param refreshes    rounds that recomputed every marginal in one
+  *                     `SketchSet.refresh` pass (only Win-Tree does)
   */
-final case class SelectionResult(seeds: Array[Int], evaluations: Long, structBytes: Long)
+final case class SelectionResult(seeds: Array[Int], evaluations: Long, structBytes: Long,
+                                 refreshes: Int = 0)
 
 /** A seed-selection strategy: repeatedly find arg-max marginal gain
   * (NextSeed) and commit it (MarkSeed) — the Step-2 loop of Alg. 1.

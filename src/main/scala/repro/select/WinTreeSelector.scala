@@ -5,7 +5,8 @@ import java.util.concurrent.atomic.{AtomicReference, LongAdder}
 
 import repro.sketch.SketchSet
 
-/** Win-Tree–based parallel seed selection (Alg. 5).
+/** Win-Tree–based parallel seed selection (Alg. 5), with a bulk refresh
+  * for rounds whose lazy evaluations grow expensive.
   *
   * The tournament tree is a complete binary tree stored implicitly in an
   * int array of 2L-1 vertex ids (L = n rounded to a power of two; padding
@@ -19,6 +20,26 @@ import repro.sketch.SketchSet
   * seed identical to CELF's even though the *set* of vertices evaluated
   * depends on thread timing (which is why, as in the paper, Win-Tree has
   * no 2× evaluation bound — Tab. 5 measures what it actually does).
+  *
+  * Bulk refresh (NewGreedy inside lazy greedy; Chen, Wang & Yang, KDD'09).
+  * A round counts the arcs its GetCenter searches draw
+  * (`SketchSet.drawCounter`). Once they reach [[WinTreeSelector.RefreshBudget]]
+  * × R·m, a share of the R·m draws of one `SketchSet.refresh` pass, FindMax
+  * stops evaluating, `refresh` writes every vertex's exact marginal into the
+  * stale scores, and the tree is rebuilt bottom-up over them in O(n); its
+  * root then holds the round's best vertex. The stopped traversal leaves
+  * the tree inconsistent, so the root is read only after that rebuild.
+  * This is a deterministic ski-rental rule: a round either finishes
+  * lazily or pays about the budget in GetCenter draws before refreshing.
+  * The seeds stay CELF's, since every score the tree then holds is a true
+  * score, and every later stale score an upper bound. A search from a
+  * center draws nothing, so at α = 1 (Tab. 5, InfuserMG's memoization)
+  * and on graphs without edges no round ever refreshes, and Win-Tree runs
+  * the paper's lazy Alg. 5 unchanged.
+  *
+  * `evaluations` counts GetCenter marginals only; `refreshes` counts the
+  * bulk passes. A refresh holds the sketch build's transient per-thread
+  * state while it runs, which `structBytes` does not include.
   */
 final class WinTreeSelector extends Selector {
   override def name: String = "Win-Tree"
@@ -32,19 +53,26 @@ final class WinTreeSelector extends Selector {
     java.util.Arrays.fill(ids, -1)
     var v = 0
     while (v < n) { ids(leaves - 1 + v) = v; v += 1 }
-    var t = leaves - 2
-    while (t >= 0) { ids(t) = betterChild(ids, stale, t); t -= 1 }
+    rebuild(ids, stale, leaves)
     val structBytes = 4L * ids.length + 8L * n
+    // At least one draw, so a round that draws nothing never refreshes.
+    val budget = math.max(1L, (WinTreeSelector.RefreshBudget * sk.R * sk.g.m).toLong)
 
     val evalCount = new LongAdder
+    var refreshes = 0
     val seeds = new Array[Int](math.min(k, n))
     var round = 0
     while (round < seeds.length) {
       if (round == 0) {
         // Round-0 scores are true scores; the root already wins.
       } else {
-        val best = new AtomicReference[(Long, Int)]((0L, Int.MaxValue))
-        new FindMax(sk, ids, stale, best, evalCount, 0, -2, 0).invoke()
+        val rd = new Round(sk, ids, stale, evalCount, sk.drawCounter.sum() + budget)
+        rd.findMax()
+        if (rd.stopped) {
+          sk.refresh(stale)
+          rebuild(ids, stale, leaves)
+          refreshes += 1
+        }
       }
       val s = ids(0)
       seeds(round) = s
@@ -56,7 +84,13 @@ final class WinTreeSelector extends Selector {
       sk.markSeed(s)
       round += 1
     }
-    SelectionResult(seeds, evalCount.sum(), structBytes)
+    SelectionResult(seeds, evalCount.sum(), structBytes, refreshes)
+  }
+
+  /** Recomputes every internal node from the leaves up. */
+  private def rebuild(ids: Array[Int], stale: Array[Long], leaves: Int): Unit = {
+    var t = leaves - 2
+    while (t >= 0) { ids(t) = betterChild(ids, stale, t); t -= 1 }
   }
 
   @inline private def betterChild(ids: Array[Int], stale: Array[Long], t: Int): Int = {
@@ -67,41 +101,53 @@ final class WinTreeSelector extends Selector {
     else r
   }
 
-  /** Alg. 5 FindMax as a ForkJoin task. `parentId` of -2 marks the root
-    * (always treated as stale); `depth` switches to sequential recursion
-    * below [[WinTreeSelector.SeqCutoffDepth]] levels from the root to
-    * bound task overhead.
+  /** One round's FindMax: the write-max Δ* of true scores, and the stop
+    * flag that is set once `sk.drawCounter` reaches `drawLimit`.
     */
-  private final class FindMax(sk: SketchSet, ids: Array[Int], stale: Array[Long],
-                              best: AtomicReference[(Long, Int)], evals: LongAdder,
-                              t: Int, parentId: Int, depth: Int) extends RecursiveAction {
-    override def compute(): Unit = run(t, parentId, depth)
+  private final class Round(sk: SketchSet, ids: Array[Int], stale: Array[Long], evals: LongAdder,
+                            drawLimit: Long) {
+    private val best = new AtomicReference[(Long, Int)]((0L, Int.MaxValue))
+    @volatile var stopped = false
 
-    private def run(t: Int, parentId: Int, depth: Int): Unit = {
-      val id = ids(t)
-      if (id < 0) return
-      val isStale = id != parentId
-      if (isStale) {
-        val b = best.get()
-        // Prune: every vertex below has a stale score no better than ours.
-        if (!Key.better(stale(id), id, b._1, b._2)) return
-        stale(id) = sk.marginal(id)
-        evals.increment()
-        writeMax(stale(id), id)
+    def findMax(): Unit = new FindMax(0, -2, 0).invoke()
+
+    /** Alg. 5 FindMax as a ForkJoin task. `parentId` of -2 marks the root
+      * (always treated as stale); `depth` switches to sequential recursion
+      * below [[WinTreeSelector.SeqCutoffDepth]] levels from the root to
+      * bound task overhead. Once the round is stopped it evaluates nothing
+      * more and returns.
+      */
+    private final class FindMax(t: Int, parentId: Int, depth: Int) extends RecursiveAction {
+      override def compute(): Unit = run(t, parentId, depth)
+
+      private def run(t: Int, parentId: Int, depth: Int): Unit = {
+        if (stopped) return
+        val id = ids(t)
+        if (id < 0) return
+        val isStale = id != parentId
+        if (isStale) {
+          val b = best.get()
+          // Prune: every vertex below has a stale score no better than ours.
+          if (!Key.better(stale(id), id, b._1, b._2)) return
+          stale(id) = sk.marginal(id)
+          evals.increment()
+          writeMax(stale(id), id)
+          if (sk.drawCounter.sum() >= drawLimit) stopped = true
+        }
+        val left = 2 * t + 1
+        if (left >= ids.length) return // leaf
+        if (depth < WinTreeSelector.SeqCutoffDepth) {
+          val lTask = new FindMax(left, id, depth + 1)
+          val rTask = new FindMax(left + 1, id, depth + 1)
+          lTask.fork()
+          rTask.compute()
+          lTask.join()
+        } else {
+          run(left, id, depth + 1)
+          run(left + 1, id, depth + 1)
+        }
+        ids(t) = betterChild(ids, stale, t)
       }
-      val left = 2 * t + 1
-      if (left >= ids.length) return // leaf
-      if (depth < WinTreeSelector.SeqCutoffDepth) {
-        val lTask = new FindMax(sk, ids, stale, best, evals, left, id, depth + 1)
-        val rTask = new FindMax(sk, ids, stale, best, evals, left + 1, id, depth + 1)
-        lTask.fork()
-        rTask.compute()
-        lTask.join()
-      } else {
-        run(left, id, depth + 1)
-        run(left + 1, id, depth + 1)
-      }
-      ids(t) = betterChild(ids, stale, t)
     }
 
     /** Atomic WriteMax on the (score, id) total order. */
@@ -122,6 +168,18 @@ object WinTreeSelector {
     * sequentially below this depth.
     */
   private val SeqCutoffDepth = 8
+
+  /** c: a round refreshes once its GetCenter draws reach c·R·m, where R·m
+    * is the draws of one refresh pass. Calibrated on the benchmark's
+    * `sf-compressed` workload (R-MAT, n = 32768, 297k edges, p = 0.02,
+    * α = 0.1, R = 256, 4 cores). There round 1 would draw 4.3e8 arcs, 5.7
+    * R·m, and one refresh takes ≈0.11 s, as long as ≈0.7 R·m GetCenter
+    * draws. Median selection times: 0.85 s lazy; 0.12 / 0.13 / 0.15 / 0.20
+    * / 0.28 s at c = 1/16, 1/8, 1/4, 1/2, 1, each with one refresh. A
+    * smaller c gains little there, and raises the cost of a needless
+    * refresh in a round that would have ended just past the budget.
+    */
+  private[select] val RefreshBudget = 0.25
 
   /** Largest population the tournament tree holds: 2^29 leaves make
     * 2^30 - 1 node ids, and 2^30 leaves would exceed the JVM's array

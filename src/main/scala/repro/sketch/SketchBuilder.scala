@@ -23,6 +23,8 @@ import repro.util.{Par, Rand}
   *    through [[fromCCLabels]]. Same output, pays a factor of the
   *    sampled-component diameter.
   * Both assemble each sketch with the same routine ([[Assembly]]).
+  * `SketchSet.refresh` reruns the union–find pass with a seed mask and
+  * keeps only the sums ([[componentSums]]).
   */
 object SketchBuilder {
 
@@ -138,20 +140,41 @@ object SketchBuilder {
     require(numSketches > 0, s"numSketches=$numSketches must be positive")
     val labels = new Array[Array[Int]](numSketches)
     val sizes = new Array[Array[Int]](numSketches)
-    val pieces = math.min(units, Par.threads)
-    val partial = new Array[Array[Long]](pieces)
-    Par.parRanges(units, pieces) { (c, lo, hi) =>
-      val asm = new Assembly(g.n, centers, labels, sizes)
-      body(lo, hi, asm)
-      partial(c) = asm.sum
-    }
+    val partial = inRanges(units, new Assembly(g.n, centers, labels, sizes))(body)
     sketchSet(g, sampler, centers, labels, sizes, partial)
   }
 
+  /** Runs `body(lo, hi, asm)` on at most `Par.threads` contiguous ranges
+    * of `units`, in parallel, each with its own [[Assembly]] made by
+    * `asm`; returns their partial sums.
+    */
+  private def inRanges(units: Int, asm: => Assembly)(body: (Int, Int, Assembly) => Unit): Array[Array[Long]] = {
+    val pieces = math.min(units, Par.threads)
+    val partial = new Array[Array[Long]](pieces)
+    Par.parRanges(units, pieces) { (c, lo, hi) =>
+      val a = asm
+      body(lo, hi, a)
+      partial(c) = a.sum
+    }
+    partial
+  }
+
+  /** Σ over the R sampled graphs of each vertex's component size, where a
+    * component that holds one of `seeds` counts as 0: every vertex's
+    * marginal after `seeds` (a seed's own is 0). The union–find build's
+    * pass ([[buildBlocks]]) with a seed mask and no sketch kept, so it
+    * holds only the build's transient per-thread state.
+    */
+  private[sketch] def componentSums(g: CSRGraph, sampler: EdgeSampler, numSketches: Int,
+                                    seeds: Array[Int]): Array[Long] = {
+    val b = blockSize(g.n, numSketches, Par.threads)
+    merged(g.n, inRanges(blocks(numSketches, b), new Assembly(g.n, seeds)) { (lo, hi, asm) =>
+      buildBlocks(g, sampler, numSketches, b, lo, hi, asm)
+    })
+  }
+
   /** The SketchSet of assembled sketches. `partial` holds the initial
-    * score sums of one or more [[Assembly]]s (n longs each); they are
-    * merged once, in parallel, into the first. No atomic or boxed
-    * operation is made per vertex.
+    * score sums of one or more [[Assembly]]s (n longs each).
     */
   private[sketch] def sketchSet(g: CSRGraph, sampler: EdgeSampler, centers: Array[Int],
                                 labels: Array[Array[Int]], sizes: Array[Array[Int]],
@@ -160,26 +183,41 @@ object SketchBuilder {
     val centerIndex = Array.fill(n)(-1)
     var i = 0
     while (i < centers.length) { centerIndex(centers(i)) = i; i += 1 }
-    val initScores = partial(0)
+    new SketchSet(g, sampler, labels.length, centers, centerIndex, labels, sizes, merged(n, partial))
+  }
+
+  /** Partial sums (n longs each, at least one) merged once, in parallel,
+    * into the first, which is returned. No atomic or boxed operation is
+    * made per vertex.
+    */
+  private def merged(n: Int, partial: Array[Array[Long]]): Array[Long] = {
+    val total = partial(0)
     Par.parRanges(n, Par.threads) { (_, lo, hi) =>
       var c = 1
       while (c < partial.length) {
         val part = partial(c)
         var v = lo
-        while (v < hi) { initScores(v) += part(v); v += 1 }
+        while (v < hi) { total(v) += part(v); v += 1 }
         c += 1
       }
     }
-    new SketchSet(g, sampler, labels.length, centers, centerIndex, labels, sizes, initScores)
+    total
   }
 
   /** Assembles sketches one at a time on one thread: compresses sketch
     * r's canonical labels to (labels(r), sizes(r)) over the ρ centers and
-    * adds every vertex's component size to `sum`. Its n-arrays are reused
-    * across sketches.
+    * adds every vertex's component size to `sum`. The scoring form (the
+    * second constructor) keeps no sketch and counts the components that
+    * hold one of its seeds as 0. Its n-arrays are reused across sketches.
     */
-  private[sketch] final class Assembly(n: Int, centers: Array[Int],
-                                       labels: Array[Array[Int]], sizes: Array[Array[Int]]) {
+  private[sketch] final class Assembly private (n: Int, centers: Array[Int], labels: Array[Array[Int]],
+                                                sizes: Array[Array[Int]], seeds: Array[Int]) {
+    def this(n: Int, centers: Array[Int], labels: Array[Array[Int]], sizes: Array[Array[Int]]) =
+      this(n, centers, labels, sizes, Array.emptyIntArray)
+
+    /** Sums only, with the components of `seeds` counted as 0. */
+    def this(n: Int, seeds: Array[Int]) = this(n, Array.emptyIntArray, null, null, seeds)
+
     // Marginal(∅, v) comes free during construction (every vertex's CC
     // size is in hand before compression discards it) — the MixGreedy
     // first-seed observation; it also means selection counts only
@@ -187,14 +225,22 @@ object SketchBuilder {
     val sum = new Array[Long](n)
     // Component size per CC label; all zero between sketches.
     private val sizeByLabel = new Array[Int](n)
-    // Representative center index per component label, -1 if none yet.
-    private val rep = Array.fill(n)(-1)
+    // Representative center index per component label, -1 if none yet
+    // (only for compression).
+    private val rep = Array.fill(if (labels == null) 0 else n)(-1)
 
     /** Adds sketch r, whose canonical labels are `cc` (not kept). */
     def add(r: Int, cc: Array[Int]): Unit = {
       LocalCC.sizesOf(cc, sizeByLabel)
+      var i = 0
+      while (i < seeds.length) { sizeByLabel(cc(seeds(i))) = 0; i += 1 }
       var v = 0
       while (v < n) { sum(v) += sizeByLabel(cc(v)); v += 1 }
+      if (labels != null) compress(r, cc)
+      java.util.Arrays.fill(sizeByLabel, 0)
+    }
+
+    private def compress(r: Int, cc: Array[Int]): Unit = {
       // Representative = the smallest center index whose center lies in
       // the component (centers are sorted by vertex id, so a forward scan
       // fills each component's rep first); only it holds the size.
@@ -210,7 +256,6 @@ object SketchBuilder {
       }
       j = 0
       while (j < rho) { rep(cc(centers(j))) = -1; j += 1 }
-      java.util.Arrays.fill(sizeByLabel, 0)
       labels(r) = lab
       sizes(r) = siz
     }

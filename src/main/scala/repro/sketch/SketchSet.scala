@@ -54,6 +54,13 @@ final class SketchSet(
     */
   val visitCounter = new LongAdder
 
+  /** Total arcs drawn (`sampleSalted` calls) by the GetCenter BFS of
+    * `marginal` calls, the evaluation cost that [[refresh]]'s R·m draws
+    * are weighed against. A search from a center draws nothing, so at
+    * α = 1 this stays 0. MarkSeed's draws are not counted.
+    */
+  val drawCounter = new LongAdder
+
   /** Fresh copy with independent `sizes` (for running several selectors
     * against identical sketches) and seed state.
     */
@@ -73,8 +80,8 @@ final class SketchSet(
     * BFS over the implicit G'_r, with r's salt derived once; stops at the
     * first center or the first seed (either determines the answer). Uses
     * the caller's scratch `s` (the calling thread's own) and adds the
-    * vertices it visits to `s.visits`; it allocates nothing and writes no
-    * shared state.
+    * vertices it visits to `s.visits` and the arcs it draws to `s.draws`;
+    * it allocates nothing and writes no shared state.
     */
   def getCenter(r: Int, v: Int, s: Scratch): Long = {
     if (isSeed(v)) return SketchSet.NoGain
@@ -96,32 +103,37 @@ final class SketchSet(
     s.visit(v)
     s.queue(0) = v
     var head = 0; var tail = 1
+    var draws = 0L
     while (head < tail) {
       val u = s.queue(head); head += 1
       var i = off(u)
       val end = off(u + 1)
       while (i < end) {
         val w = adj(i)
-        if (!s.visited(w) && sampler.sampleSalted(u, w, rs)) {
-          val cw = centerIndex(w)
-          if (cw >= 0) {
-            s.visits += tail + 1
-            val l = labels(r)(cw)
-            return SketchSet.pack(sizes(r)(l), l)
+        if (!s.visited(w)) {
+          draws += 1
+          if (sampler.sampleSalted(u, w, rs)) {
+            val cw = centerIndex(w)
+            if (cw >= 0) {
+              s.visits += tail + 1; s.draws += draws
+              val l = labels(r)(cw)
+              return SketchSet.pack(sizes(r)(l), l)
+            }
+            if (isSeed(w)) { s.visits += tail; s.draws += draws; return SketchSet.NoGain }
+            s.visit(w); s.queue(tail) = w; tail += 1
           }
-          if (isSeed(w)) { s.visits += tail; return SketchSet.NoGain }
-          s.visit(w); s.queue(tail) = w; tail += 1
         }
         i += 1
       }
     }
-    s.visits += tail
+    s.visits += tail; s.draws += draws
     SketchSet.pack(tail, -1)
   }
 
   /** Alg. 3 Marginal times R: the exact sum of δ_r over all R sketches
     * (< R·n, so it cannot overflow a Long). Adds the GetCenter visits to
-    * `visitCounter` once per call (once per range when `parallel`).
+    * `visitCounter` and its draws to `drawCounter` once per call (once per
+    * range when `parallel`).
     */
   def marginal(v: Int, parallel: Boolean = false): Long = {
     if (parallel) {
@@ -135,11 +147,33 @@ final class SketchSet(
   private def marginalOver(v: Int, lo: Int, hi: Int): Long = {
     val s = Scratch.local(g.n)
     val visits0 = s.visits
+    val draws0 = s.draws
     var sum = 0L
     var r = lo
     while (r < hi) { sum += SketchSet.delta(getCenter(r, v, s)); r += 1 }
     visitCounter.add(s.visits - visits0)
+    drawCounter.add(s.draws - draws0)
     sum
+  }
+
+  /** Every exact marginal at once: writes Σ_r δ_r, what `marginal(v)`
+    * returns, into `into(v)` for every non-seed v, and leaves the seeds'
+    * entries as they are. This is NewGreedy's round (Chen, Wang & Yang,
+    * "Efficient Influence Maximization in Social Networks", KDD'09): the
+    * build's blocked union–find pass over all R sampled graphs
+    * ([[SketchBuilder.componentSums]]), with every component that holds a
+    * seed counted as 0. It draws each edge once per sampled graph, R·m
+    * draws in all, whatever α is, and holds the build's transient
+    * per-thread state (n·B ints of forests, n longs of sums) only while
+    * it runs. It neither reads nor changes the sketches, and counts no
+    * visits or draws. Like `markSeed`, call it between rounds.
+    */
+  def refresh(into: Array[Long]): Unit = {
+    require(into.length >= g.n, s"refresh into ${into.length} < n = ${g.n} entries")
+    val seeds = Array.range(0, g.n).filter(isSeed(_))
+    val sums = SketchBuilder.componentSums(g, sampler, R, seeds)
+    var v = 0
+    while (v < g.n) { if (!isSeed(v)) into(v) = sums(v); v += 1 }
   }
 
   /** Alg. 3 MarkSeed: zero the influence of v's component on every

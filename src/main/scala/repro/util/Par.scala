@@ -50,9 +50,10 @@ object Par {
 /** Reusable, allocation-free BFS scratch: a stamp-versioned visited array
   * plus an int queue, sized for vertex ids below `n`. One instance per
   * thread (see [[Scratch.local]]); `reset()` is O(1) by bumping the
-  * version stamp. `visits` is a running tally that a BFS may add its
-  * visit count to, so that a caller can total many searches without a
-  * shared counter write per search; `reset()` leaves it alone.
+  * version stamp. `visits` and `draws` are running tallies that a BFS may
+  * add its visited vertices and its sampled-arc draws to, so that a caller
+  * can total many searches without a shared counter write per search;
+  * `reset()` leaves them alone.
   *
   * `seen` and `pending` are per-vertex 64-bit masks for a BFS that runs
   * up to 64 searches at once (`InfluenceEval.simulateBlock`). They are
@@ -64,6 +65,7 @@ final class Scratch(val n: Int) {
   private var version = 0
   val queue = new Array[Int](n)
   var visits: Long = 0L
+  var draws: Long = 0L
   lazy val seen: Array[Long] = new Array[Long](n)
   lazy val pending: Array[Long] = new Array[Long](n)
 

@@ -55,9 +55,10 @@ class HarnessSpec extends SparkSpec {
       assert(row.systems.forall(_.memBytes > 0))
       // Ours/InfuserMG share sketches and selection semantics here, so
       // their influence must be identical at tiny scale.
-      val inf = row.systems.map(_.influence)
-      assert(inf(0) == inf(2), "Ours_1 vs InfuserMG influence")
-      assert(inf(0) == inf(1), "Ours_1 vs Ours_0.1 influence (lossless compression)")
+      def inf(name: String): Double = row.system(name).influence
+      assert(inf(Systems.Ours1) == inf(Systems.InfuserMG), "Ours_1 vs InfuserMG influence")
+      assert(inf(Systems.Ours1) == inf(Systems.Ours01), "Ours_1 vs Ours_0.1 influence (lossless compression)")
+      assert(inf(Systems.Ours1) == inf(Systems.Ours01Lazy), "Ours_1 vs Ours_0.1 lazy influence")
     }
     val s = Tables.formatTable4(rows)
     assert(s.contains("Ripples") && s.contains("geomean"))
@@ -68,7 +69,7 @@ class HarnessSpec extends SparkSpec {
     Seq[(Workload => repro.prob.ProbModel, Seq[Table4Row] => Seq[String])](
       (_.uniform, Tables.table6Gates), (_.wic, Tables.table7Gates)).foreach { case (m, gates) =>
       val rows = Tables.table4(spark, tinyWl.take(1), m, k = 4)
-      assert(rows.head.systems.size == 4)
+      assert(rows.head.systems.map(_.system) == systems)
       assert(rows.head.relativeInfluence.forall(_ > 0))
       assert(gates(rows).isEmpty, gates(rows))
     }
@@ -76,7 +77,7 @@ class HarnessSpec extends SparkSpec {
 
   test("table5 harness: P-tree within 2x CELF, identical sketches for all") {
     val rows = Tables.table5(tinyWl, r = 64, k = 6)
-    rows.foreach(r => assert(r.wintree >= 0 && r.n == r.wl.graph.n))
+    rows.foreach(r => assert(r.wintree >= 0 && r.wintreeRefreshes == 0 && r.n == r.wl.graph.n))
     val s = Tables.formatTable5(rows)
     assert(s.contains("CELF") && s.contains("Win-Tree"))
     assert(Tables.table5Gates(rows).isEmpty, Tables.table5Gates(rows))
@@ -93,11 +94,11 @@ class HarnessSpec extends SparkSpec {
   // ------------------------------------------------- gates on hand-made rows
 
   private def wl(name: String, cls: Workload.Cls) = Workload(name, "hand-made", cls, () => sys.error("no graph"))
-  private val systems = Seq("Ours_1", "Ours_0.1", "InfuserMG", "Ripples")
+  private val systems = Seq("Ours_1", "Ours_0.1", "Ours_0.1 lazy", "InfuserMG", "Ripples")
 
   /** One Table-4 row that passes every gate unless an argument breaks one. */
-  private def row4(name: String, cls: Workload.Cls = ScaleFree, inf: Seq[Double] = Seq(100, 100, 100, 90),
-                   timeMs: Seq[Long] = Seq(10, 40, 90, 200), mem: Seq[Long] = Seq(1000, 200, 1000, 5000)) =
+  private def row4(name: String, cls: Workload.Cls = ScaleFree, inf: Seq[Double] = Seq(100, 100, 100, 100, 90),
+                   timeMs: Seq[Long] = Seq(10, 20, 40, 90, 200), mem: Seq[Long] = Seq(1000, 200, 190, 1000, 5000)) =
     Seq(Table4Row(wl(name, cls), 100, systems.indices.map(i => SystemRow(systems(i), inf(i), timeMs(i), mem(i)))))
 
   /** Sweep rows that pass every gate unless an argument breaks one. */
@@ -112,8 +113,8 @@ class HarnessSpec extends SparkSpec {
          cls <- Seq(ScaleFree, Road, Knn)) assert(gates(row4("X*", cls)).isEmpty)
     assert(sweepGates(sweepRows("S*")).isEmpty)
     // Edge cases that pass: a slow Ours_1 off scale-free graphs, 96% of the best under WIC.
-    assert(table4TimeGates(row4("X*", Road, timeMs = Seq(90, 40, 90, 200))).isEmpty)
-    assert(table7Gates(row4("X*", inf = Seq(96, 96, 96, 100))).isEmpty)
+    assert(table4TimeGates(row4("X*", Road, timeMs = Seq(90, 20, 40, 90, 200))).isEmpty)
+    assert(table7Gates(row4("X*", inf = Seq(96, 96, 96, 96, 100))).isEmpty)
   }
 
   test("every gate names the workload of a hand-made row that breaks it") {
@@ -121,21 +122,23 @@ class HarnessSpec extends SparkSpec {
       n => table3Gates(Seq(Table3Row(wl(n, Knn), 1000, 2000, 4)), 5), // influence below the k seeds
       n => table3Gates(Seq(Table3Row(wl(n, ScaleFree), 100, 200, 101)), 5), // above n
       n => table3Gates(Seq(Table3Row(wl(n, Road), 1000, 2000, 20)), 5), // road influence >= 0.02 n
-      n => table4Gates(row4(n, inf = Seq(96, 96, 96, 100))), // Ours_1 below 97% of the best
-      n => table4Gates(row4(n, Road, inf = Seq(100, 99, 100, 90))), // Ours_0.1 influence != Ours_1 influence
-      n => table4Gates(row4(n, Road, mem = Seq(1000, 1001, 2000, 50))), // Ours_0.1 memory above Ours_1
-      n => table4Gates(row4(n, Road, mem = Seq(1000, 999, 998, 50))), // Ours_0.1 memory above InfuserMG
-      n => table4Gates(row4(n, mem = Seq(1000, 200, 1000, 199))), // Ours_0.1 memory above Ripples
-      n => table4Gates(row4(n, Road, mem = Seq(1050, 200, 1000, 50))), // Ours_1 memory >= 1.05 x InfuserMG
-      n => table4TimeGates(row4(n, timeMs = Seq(90, 40, 90, 200))), // Ours_1 not faster than InfuserMG
-      n => table6Gates(row4(n, Knn, inf = Seq(96, 96, 96, 100))), // Ours_1 below 97% of the best
-      n => table6Gates(row4(n, Knn, mem = Seq(1000, 1001, 2000, 50))), // Ours_0.1 memory above Ours_1
-      n => table7Gates(row4(n, Knn, inf = Seq(94, 94, 94, 100))), // Ours_1 below 95% of the best
-      n => table7Gates(row4(n, Knn, mem = Seq(1000, 999, 998, 50))), // Ours_0.1 memory above InfuserMG
+      n => table4Gates(row4(n, inf = Seq(96, 96, 96, 96, 100))), // Ours_1 below 97% of the best
+      n => table4Gates(row4(n, Road, inf = Seq(100, 99, 100, 100, 90))), // Ours_0.1 influence != Ours_1 influence
+      n => table4Gates(row4(n, Road, inf = Seq(100, 100, 99, 100, 90))), // Ours_0.1 lazy influence != Ours_1's
+      n => table4Gates(row4(n, Road, mem = Seq(1000, 1001, 900, 2000, 50))), // Ours_0.1 memory above Ours_1
+      n => table4Gates(row4(n, Road, mem = Seq(1000, 999, 900, 998, 50))), // Ours_0.1 memory above InfuserMG
+      n => table4Gates(row4(n, mem = Seq(1000, 200, 190, 1000, 199))), // Ours_0.1 memory above Ripples
+      n => table4Gates(row4(n, Road, mem = Seq(1050, 200, 190, 1000, 50))), // Ours_1 memory >= 1.05 x InfuserMG
+      n => table4TimeGates(row4(n, timeMs = Seq(90, 20, 40, 90, 200))), // Ours_1 not faster than InfuserMG
+      n => table6Gates(row4(n, Knn, inf = Seq(96, 96, 96, 96, 100))), // Ours_1 below 97% of the best
+      n => table6Gates(row4(n, Knn, mem = Seq(1000, 1001, 900, 2000, 50))), // Ours_0.1 memory above Ours_1
+      n => table7Gates(row4(n, Knn, inf = Seq(94, 94, 94, 94, 100))), // Ours_1 below 95% of the best
+      n => table7Gates(row4(n, Knn, mem = Seq(1000, 999, 900, 998, 50))), // Ours_0.1 memory above InfuserMG
       n => table5Gates(Seq(Table5Row(wl(n, Knn), 1000, 10, 21, 12))), // Thm 4.2: P-tree > 2 x CELF
       n => table5Gates(Seq(Table5Row(wl(n, Knn), 1000, 10, 9, 12))), // P-tree below CELF
       n => table5Gates(Seq(Table5Row(wl(n, ScaleFree), 1000, 250, 300, 260))), // scale-free CELF <= n/4
       n => table5Gates(Seq(Table5Row(wl(n, Road), 1000, 100, 120, 110))), // road CELF >= n/10
+      n => table5Gates(Seq(Table5Row(wl(n, Knn), 1000, 10, 12, 12, 1))), // Win-Tree refreshed
       n => sweepGates(sweepRows(n, seeds = a => Seq(1, if (a < 0.5) 3 else 2))), // seeds change with alpha
       n => sweepGates(sweepRows(n, bytes = a => if (a == 0.2) 10 else 1000)), // bytes do not fall
       n => sweepGates(sweepRows(n, bytes = a => (1000 * a).toLong + 200)), // alpha=0.1 cuts bytes < 9x

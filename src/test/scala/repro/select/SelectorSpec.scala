@@ -74,10 +74,17 @@ class SelectorSpec extends AnyFunSuite {
   }
 
   test("CELF never evaluates more than P-tree's bound or n per round") {
+    // CELF is deterministic, so round i's count is the count of a k = i + 1
+    // selection minus that of k = i. A round evaluates each of its n - i
+    // live vertices at most once.
     cases.foreach { case (name, g, model, k) =>
       val sk = SketchBuilder.build(g, model, 12, alpha = 1.0)
-      val celf = PaCIM.selectOn(sk, k, new CelfSelector())
-      assert(celf.evaluations <= g.n.toLong * k, name)
+      val totals = (0 to k).map(i => PaCIM.selectOn(sk, i, new CelfSelector()).evaluations)
+      totals.sliding(2).zipWithIndex.foreach { case (Seq(before, after), i) =>
+        assert(after - before <= g.n - i, s"$name round $i: ${after - before} evaluations, n=${g.n}")
+      }
+      val pt = PaCIM.selectOn(sk, k, new PTreeSelector())
+      assert(totals.last <= pt.evaluations, s"$name: CELF ${totals.last} > P-tree ${pt.evaluations}")
     }
   }
 
@@ -139,12 +146,17 @@ class SelectorSpec extends AnyFunSuite {
   }
 
   test("Win-Tree evaluation count is never below CELF's minimum need") {
-    cases.take(4).foreach { case (name, g, model, k) =>
+    // At k = 2 only round 1 evaluates, from the same initial scores. Every
+    // vertex whose initial key beats the winner's true key must be
+    // evaluated, and so must the winner; CELF evaluates no other vertex.
+    // At alpha = 1 no Win-Tree round refreshes.
+    cases.foreach { case (name, g, model, _) =>
       val sk = SketchBuilder.build(g, model, 12, 1.0)
-      val wt = PaCIM.selectOn(sk, k, new WinTreeSelector())
-      // Sanity: it must at least have found k seeds.
-      assert(wt.seeds.length == k, name)
-      assert(wt.evaluations >= 0, name)
+      val celf = PaCIM.selectOn(sk, 2, new CelfSelector())
+      val wt = PaCIM.selectOn(sk, 2, new WinTreeSelector())
+      assert(wt.seeds.sameElements(celf.seeds), name)
+      assert(wt.refreshes == 0, name)
+      assert(wt.evaluations >= celf.evaluations, s"$name: Win-Tree ${wt.evaluations} < CELF ${celf.evaluations}")
     }
   }
 }

@@ -32,6 +32,26 @@ class WinTreeSpec extends AnyFunSuite {
     assert(wt == celf)
   }
 
+  test("Win-Tree refreshes on a percolating R-MAT graph at alpha = 0.1 and keeps CELF's seeds") {
+    // After the first seed removes the giant component, a lazy round 1
+    // re-evaluates most vertices, each with a GetCenter search per sketch.
+    val g = GraphGen.rmat(2048, 20000, seed = 61)
+    val compressed = SketchBuilder.build(g, Constant(0.02), 32, 0.1)
+    val wt = PaCIM.selectOn(compressed, 10, new WinTreeSelector())
+    assert(wt.refreshes >= 1)
+    assert(wt.seeds.sameElements(PaCIM.selectOn(compressed, 10, new CelfSelector()).seeds))
+    // A search from a center draws nothing, so at alpha = 1 no round refreshes.
+    val full = SketchBuilder.build(g, Constant(0.02), 32, 1.0)
+    val lazyRun = PaCIM.selectOn(full, 10, new WinTreeSelector())
+    assert(lazyRun.refreshes == 0 && lazyRun.seeds.sameElements(wt.seeds))
+  }
+
+  test("a graph without edges never refreshes, even with no centers") {
+    val sk = SketchBuilder.build(GraphGen.empty(50), Constant(0.5), 8, 0.0)
+    val r = PaCIM.selectOn(sk, 5, new WinTreeSelector())
+    assert(r.refreshes == 0 && r.seeds.toSeq == (0 until 5))
+  }
+
   test("n = 1 graph") {
     val g = GraphGen.empty(1)
     val sk = SketchBuilder.build(g, Constant(0.5), 4, 1.0)

@@ -12,9 +12,10 @@ import repro.sample.EdgeSampler
 
 /** The sketch invariants as properties over generated graphs and all three
   * probability models: marginals do not depend on α and equal the
-  * brute-force gain of σ̂, before and after seeding (Sec. 3); the
-  * parallel assembly, and the blocked union–find build as a whole, equal
-  * a plain one-sketch-at-a-time BFS and assembly.
+  * brute-force gain of σ̂, before and after seeding (Sec. 3); a bulk
+  * refresh equals every marginal; the parallel assembly, and the blocked
+  * union–find build as a whole, equal a plain one-sketch-at-a-time BFS and
+  * assembly.
   */
 class SketchPropertySpec extends AnyFunSuite {
 
@@ -44,6 +45,34 @@ class SketchPropertySpec extends AnyFunSuite {
       seeds.foreach(s => sks.foreach(_.markSeed(s)))
       before && agree(seeds)
     }, 100)
+  }
+
+  test("refresh writes marginal(v) for every non-seed v after a seed prefix, and leaves seeds alone") {
+    // n from 0, and graphs without edges, where a refresh draws nothing.
+    val refreshCases = for {
+      n <- Gen.choose(0, 60)
+      g <- Gen.oneOf(graph(n), Gen.const(CSRGraph.fromEdges(n, Nil)))
+      m <- model(g)
+      r <- Gen.choose(1, 12)
+      alpha <- Gen.oneOf(0.0, 0.1, 1.0)
+      prefix <- Gen.choose(0, math.min(4, n))
+      seeds <- Gen.pick(prefix, 0 until n)
+    } yield (g, m, r, alpha, seeds.toList)
+    check(Prop.forAllNoShrink(refreshCases) { case (g, m, r, alpha, seeds) =>
+      val sk = SketchBuilder.build(g, m, r, alpha)
+      seeds.foreach(sk.markSeed)
+      val sizes = sk.sizes.map(_.toSeq).toSeq
+      val (visits, draws) = (sk.visitCounter.sum(), sk.drawCounter.sum())
+      val into = Array.fill(g.n)(-7L)
+      sk.refresh(into)
+      val where = s"${describe(g, m, r)} alpha=$alpha seeds=$seeds"
+      val uncounted = (sk.visitCounter.sum() == visits && sk.drawCounter.sum() == draws) :| s"refresh counted, $where"
+      val exact = Prop.all((0 until g.n).map { v =>
+        val expect = if (seeds.contains(v)) -7L else sk.marginal(v)
+        (into(v) == expect) :| s"v=$v refreshed ${into(v)}, expected $expect, $where"
+      }: _*)
+      uncounted && exact && (sk.sizes.map(_.toSeq).toSeq == sizes) :| s"refresh changed the sketches, $where"
+    }, 200)
   }
 
   test("fromCCLabels equals the plain HashMap assembly") {

@@ -170,6 +170,24 @@ class SketchSetSpec extends AnyFunSuite {
     assert(sk.visitCounter.sum() == before)
   }
 
+  test("drawCounter counts GetCenter's arc draws: none at alpha=1 and none for markSeed") {
+    // p = 1 on a 10-vertex path with no centers: a search draws each of the
+    // 9 edges once, from whichever end it reaches first.
+    val g = GraphGen.path(10)
+    val bare = SketchBuilder.build(g, Constant(1.0), 2, 0.0)
+    Seq(0, 5, 9).foreach { v =>
+      val before = bare.drawCounter.sum()
+      assert(bare.marginal(v) == 20L)
+      assert(bare.drawCounter.sum() - before == 18L, s"v=$v")
+    }
+    val before = bare.drawCounter.sum()
+    bare.markSeed(3)
+    assert(bare.drawCounter.sum() == before)
+    val full = SketchBuilder.build(g, Constant(1.0), 2, 1.0)
+    (0 until 10).foreach(v => full.marginal(v, parallel = v % 2 == 0))
+    assert(full.drawCounter.sum() == 0L)
+  }
+
   test("one marginal call adds exactly the GetCenter visits a plain BFS predicts") {
     val g = GraphGen.erdosRenyi(80, 160, seed = 44)
     val model = Constant(0.5)

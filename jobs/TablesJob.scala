@@ -7,7 +7,7 @@ import repro.harness.{Tables, Workloads}
 /** Shared SparkSession bootstrap for the spark-submit entrypoints. */
 object JobSession {
   def get(app: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))

@@ -1,8 +1,10 @@
 package repro.baseline
 
+import repro.connectivity.LocalCC
 import repro.core.PaCIM
 import repro.graph.CSRGraph
 import repro.prob.ProbModel
+import repro.sample.EdgeSampler
 import repro.select.CelfSelector
 import repro.sketch.SketchBuilder
 
@@ -12,7 +14,8 @@ import repro.sketch.SketchBuilder
   *    carry exactly that information — label+size per vertex per sketch,
   *    O(Rn) space, Tab. 2 row "InfuserMG");
   *  - sketch connectivity by the "standard coloring idea" (min-label
-  *    propagation) rather than union–find (Sec. 5.2);
+  *    propagation) rather than union–find (Sec. 5.2), one sketch at a time
+  *    through `SketchBuilder.fromCCLabels`;
   *  - sequential CELF seed selection where only the MARGINAL evaluation
   *    itself is parallel (Sec. 4: "existing parallel implementations …
   *    leave the CELF process sequential").
@@ -23,20 +26,11 @@ import repro.sketch.SketchBuilder
   */
 object InfuserMG {
 
-  def run(g: CSRGraph, model: ProbModel, k: Int, numSketches: Int = 256): PaCIM.Result =
-    PaCIM.run(g, model, k, numSketches, alpha = 1.0,
-      selector = new CelfSelector,
-      ccAlgo = SketchBuilder.CCAlgo.Coloring)
-}
-
-/** StaticGreedy baseline [22] (with Infuser's fusion optimization, as
-  * Tab. 2 assumes): no memoization at all — every evaluation re-simulates
-  * the sampled graphs — plus sequential CELF. Exactly PaC-IM with α = 0.
-  */
-object StaticGreedy {
-
-  def run(g: CSRGraph, model: ProbModel, k: Int, numSketches: Int = 256): PaCIM.Result =
-    PaCIM.run(g, model, k, numSketches, alpha = 0.0,
-      selector = new CelfSelector,
-      ccAlgo = SketchBuilder.CCAlgo.UnionFind)
+  def run(g: CSRGraph, model: ProbModel, k: Int, numSketches: Int = 256): PaCIM.Result = {
+    val sampler = EdgeSampler.forSketches(model)
+    PaCIM.runOn(g, k, new CelfSelector) {
+      SketchBuilder.fromCCLabels(g, sampler, numSketches, SketchBuilder.chooseCenters(g.n, 1.0))(
+        LocalCC.byColoring(g, sampler, _))
+    }
+  }
 }

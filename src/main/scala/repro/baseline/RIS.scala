@@ -118,11 +118,16 @@ object RIS {
     seeds
   }
 
+  /** k seeds for g. With no vertex or no seed to pick, returns no seeds
+    * at once, with θ = 0 and nothing capped.
+    */
   def run(g: CSRGraph, model: ProbModel, k: Int, eps: Double = 0.5,
           maxStoredInts: Long = 50000000L, maxSets: Long = 4000000L,
           pilot: Int = 1024): Result = {
-    val sampler = EdgeSampler.forRis(model)
+    require(k >= 0, s"k=$k must be non-negative")
     val n = g.n
+    if (n == 0 || k == 0) return Result(Array.emptyIntArray, 0L, 0L, 0L, 0L, 0L, capped = false)
+    val sampler = EdgeSampler.forRis(model)
     val t0 = System.nanoTime()
 
     // --- Pilot: estimate an OPT lower bound from a small batch. ---

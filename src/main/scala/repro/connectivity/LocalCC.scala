@@ -2,17 +2,15 @@ package repro.connectivity
 
 import repro.graph.CSRGraph
 import repro.sample.EdgeSampler
-import repro.util.Rand
 
 /** Connected components of (implicitly) sampled graphs, computed two ways:
   *
   *  - [[uniteBlock]] — what PaC-IM's sketch builder uses (ConnectIt
   *    stand-in): union–find over a *block* of sampled graphs at once.
-  *    Each arc's edge hash and threshold are computed once per block, and
-  *    each sampled graph of the block adds one splitmix round and an
-  *    integer compare (Infuser's fused sampling, with the edge's half of
-  *    the hash shared across sketches). [[byUnionFind]] is the same kernel
-  *    on a block of one;
+  *    Each arc is drawn once for the whole block by
+  *    [[EdgeSampler.sampleBlock]] (Infuser's fused sampling, with the
+  *    edge's half of the hash shared across sketches). [[byUnionFind]] is
+  *    the same kernel on a block of one;
   *  - [[byColoring]] — iterative min-label propagation, the "standard
   *    coloring idea" the paper attributes to InfuserMG's sketch phase
   *    (Sec. 5.2). Same output, different cost profile: O(#iterations · m)
@@ -31,10 +29,10 @@ object LocalCC {
     *
     * A union links the larger root under the smaller, so every root is the
     * minimum vertex id of its component and par(v) < v for every non-root
-    * (path halving keeps both); [[labelOf]] relies on it.
+    * (path halving keeps both); [[labelOf]] relies on it. 1 <= b <= 64.
     */
   def uniteBlock(g: CSRGraph, sampler: EdgeSampler, r0: Int, b: Int, par: Array[Int]): Unit = {
-    require(b >= 1, s"block of $b sampled graphs")
+    require(b >= 1 && b <= 64, s"block of $b sampled graphs")
     val n = g.n
     require(par.length.toLong >= n.toLong * b, s"par has ${par.length} < n·b = ${n.toLong * b} entries")
     var x = 0
@@ -44,8 +42,8 @@ object LocalCC {
       while (x < end) { par(x) = v; x += 1 }
       v += 1
     }
-    val salts = Array.tabulate(b)(j => sampler.saltOf(r0 + j))
-    val model = sampler.model
+    val salts = sampler.saltsOf(r0, b)
+    val full = -1L >>> (64 - b)
     val off = g.offsets; val adj = g.adj
     var u = 0
     while (u < n) {
@@ -54,14 +52,10 @@ object LocalCC {
       while (i < end) {
         val w = adj(i)
         if (u < w) {
-          // sampleSalted(u, w, salts(j)) with the r-independent half hoisted:
-          // mix2(key, s) = mix64(mix64(key) ^ s).
-          val h0 = Rand.mix64(Rand.edgeKey(u, w))
-          val t = model.threshold(u, w)
-          var j = 0
-          while (j < b) {
-            if ((Rand.mix64(h0 ^ salts(j)) >>> 11) <= t) link(par, b, j, u, w)
-            j += 1
+          var hit = sampler.sampleBlock(u, w, salts, full)
+          while (hit != 0L) {
+            link(par, b, java.lang.Long.numberOfTrailingZeros(hit), u, w)
+            hit &= hit - 1
           }
         }
         i += 1

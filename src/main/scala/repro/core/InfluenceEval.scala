@@ -5,7 +5,7 @@ import org.apache.spark.sql.SparkSession
 import repro.graph.CSRGraph
 import repro.prob.ProbModel
 import repro.sample.EdgeSampler
-import repro.util.{Par, Rand, Scratch}
+import repro.util.{Par, Scratch}
 
 /** Monte-Carlo estimation of the influence spread σ(S): the expected
   * number of vertices activated by seed set S under the IC model —
@@ -33,10 +33,8 @@ object InfluenceEval {
     * come. A vertex is queued exactly when its pending mask is non-zero,
     * so at most n vertices are queued at once and `s.queue` serves as a
     * ring. Expanding u tests an arc (u, w) only for the simulations in
-    * `pending(u) & ~seen(w)`; the edge's half of the hash and its
-    * threshold are computed once for all of them, and simulation s0 + j
-    * adds one splitmix round and an integer compare — the same draw as
-    * `sampleSalted(u, w, saltOf(s0 + j))`.
+    * `pending(u) & ~seen(w)`, all at once by [[EdgeSampler.sampleBlock]]:
+    * the same draw as `sampleSalted(u, w, saltOf(s0 + j))` for each.
     *
     * Each simulation's bits spread from its seeds along exactly the arcs
     * present in its sampled graph, so bit j ends up set on exactly the
@@ -64,8 +62,7 @@ object InfluenceEval {
       }
       i += 1
     }
-    val salts = Array.tabulate(b)(j => sampler.saltOf(s0 + j))
-    val model = sampler.model
+    val salts = sampler.saltsOf(s0, b)
     val off = g.offsets; val adj = g.adj
     while (queued > 0) {
       val u = ring(head)
@@ -77,18 +74,9 @@ object InfluenceEval {
       val end = off(u + 1)
       while (a < end) {
         val w = adj(a)
-        var cand = pu & ~seen(w)
+        val cand = pu & ~seen(w)
         if (cand != 0L) {
-          // sampleSalted(u, w, salts(j)) with the simulation-independent
-          // half hoisted: mix2(key, s) = mix64(mix64(key) ^ s).
-          val h0 = Rand.mix64(Rand.edgeKey(u, w))
-          val t = model.threshold(u, w)
-          var hit = 0L
-          while (cand != 0L) {
-            val bit = cand & -cand
-            if ((Rand.mix64(h0 ^ salts(java.lang.Long.numberOfTrailingZeros(bit))) >>> 11) <= t) hit |= bit
-            cand ^= bit
-          }
+          val hit = sampler.sampleBlock(u, w, salts, cand)
           if (hit != 0L) {
             seen(w) |= hit
             total += java.lang.Long.bitCount(hit)

@@ -39,12 +39,17 @@ object PaCIM {
   }
 
   def run(g: CSRGraph, model: ProbModel, k: Int, numSketches: Int = 256,
-          alpha: Double = 1.0, selector: Selector = new WinTreeSelector(),
-          ccAlgo: SketchBuilder.CCAlgo = SketchBuilder.CCAlgo.UnionFind): Result = {
+          alpha: Double = 1.0, selector: Selector = new WinTreeSelector()): Result =
+    runOn(g, k, selector)(SketchBuilder.build(g, model, numSketches, alpha))
+
+  /** Builds the sketches with `build`, then selects k seeds on them with
+    * `selector`, timing each step: [[run]] with another sketch build (the
+    * InfuserMG baseline passes its coloring one).
+    */
+  def runOn(g: CSRGraph, k: Int, selector: Selector)(build: => SketchSet): Result = {
     require(k >= 0, s"k=$k must be non-negative")
-    require(numSketches > 0, s"numSketches=$numSketches must be positive")
     val t0 = System.nanoTime()
-    val sk = SketchBuilder.build(g, model, numSketches, alpha, ccAlgo)
+    val sk = build
     val t1 = System.nanoTime()
     val sel = selector.select(sk, k)
     val t2 = System.nanoTime()

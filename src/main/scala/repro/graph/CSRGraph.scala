@@ -33,11 +33,6 @@ final class CSRGraph private (val n: Int, val offsets: Array[Int], val adj: Arra
     while (i < end) { f(adj(i)); i += 1 }
   }
 
-  def neighbors(v: Int): Array[Int] = java.util.Arrays.copyOfRange(adj, offsets(v), offsets(v + 1))
-
-  def hasEdge(u: Int, v: Int): Boolean =
-    java.util.Arrays.binarySearch(adj, offsets(u), offsets(u + 1), v) >= 0
-
   /** Bytes of the CSR arrays (the paper's "CSR" reference column). */
   def csrBytes: Long = 4L * (n + 1) + 4L * adj.length
 

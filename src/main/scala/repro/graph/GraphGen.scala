@@ -23,8 +23,7 @@ object GraphGen {
     * of two internally for quadrant recursion; ids are then taken mod n.
     * Produces ~`mTarget` distinct undirected edges (duplicates merged).
     */
-  def rmat(n: Int, mTarget: Int, seed: Long = 42,
-           a: Double = 0.57, b: Double = 0.19, c: Double = 0.19): CSRGraph = {
+  def rmat(n: Int, mTarget: Int, seed: Long = 42): CSRGraph = {
     require(n > 1 && mTarget > 0)
     val levels = 32 - Integer.numberOfLeadingZeros(n - 1) // ceil(log2 n)
     val rng = new Pcg(seed)
@@ -36,20 +35,24 @@ object GraphGen {
       var u = 0; var v = 0
       var l = 0
       while (l < levels) {
+        // Quadrant 0..3 = (a, b, c, d): its high bit goes to u, its low bit to v.
         val r = rng.nextDouble()
-        val ul = if (r < a) 0 else if (r < a + b) 0 else if (r < a + b + c) 1 else 1
-        val vl = if (r < a) 0 else if (r < a + b) 1 else if (r < a + b + c) 0 else 1
-        u = (u << 1) | ul
-        v = (v << 1) | vl
+        val q = if (r < A) 0 else if (r < A + B) 1 else if (r < A + B + C) 2 else 3
+        u = (u << 1) | (q >> 1)
+        v = (v << 1) | (q & 1)
         l += 1
       }
       u %= n; v %= n
       packed(i) = Rand.edgeKey(u, v)
       i += 1
     }
-    val g0 = CSRGraph.fromPackedEdges(n, packed)
-    g0
+    CSRGraph.fromPackedEdges(n, packed)
   }
+
+  // R-MAT's quadrant probabilities a, b, c (d = 1 - a - b - c).
+  private final val A = 0.57
+  private final val B = 0.19
+  private final val C = 0.19
 
   /** rows × cols 4-neighbor lattice (road-network stand-in). */
   def grid(rows: Int, cols: Int): CSRGraph = {
@@ -171,24 +174,4 @@ object GraphGen {
     }
     CSRGraph.fromPackedEdges(n, edges.result())
   }
-
-  /** Erdős–Rényi G(n, m) — used by tests/property checks. */
-  def erdosRenyi(n: Int, m: Int, seed: Long = 13): CSRGraph = {
-    val rng = new Pcg(seed)
-    val packed = new Array[Long]((m * 1.2).toInt + 8)
-    var i = 0
-    while (i < packed.length) {
-      packed(i) = Rand.edgeKey(rng.nextInt(n), rng.nextInt(n))
-      i += 1
-    }
-    CSRGraph.fromPackedEdges(n, packed)
-  }
-
-  /** Simple deterministic shapes for unit tests. */
-  def path(n: Int): CSRGraph = CSRGraph.fromEdges(n, (0 until n - 1).map(i => (i, i + 1)))
-  def cycle(n: Int): CSRGraph = CSRGraph.fromEdges(n, (0 until n).map(i => (i, (i + 1) % n)))
-  def star(n: Int): CSRGraph = CSRGraph.fromEdges(n, (1 until n).map(i => (0, i)))
-  def clique(n: Int): CSRGraph =
-    CSRGraph.fromEdges(n, for { i <- 0 until n; j <- i + 1 until n } yield (i, j))
-  def empty(n: Int): CSRGraph = CSRGraph.fromEdges(n, Nil)
 }

@@ -51,10 +51,10 @@ final case class Constant(p: Double) extends ProbModel {
 }
 
 /** Per-edge uniform draw from [lo, hi), hashed from the edge key. */
-final case class UniformHash(lo: Double, hi: Double, salt: Long = 0x5eedL) extends ProbModel {
+final case class UniformHash(lo: Double, hi: Double) extends ProbModel {
   require(lo >= 0 && hi <= 1 && lo <= hi)
   override def prob(u: Int, v: Int): Double =
-    lo + (hi - lo) * Rand.hash01(Rand.edgeKey(u, v), salt)
+    lo + (hi - lo) * Rand.hash01(Rand.edgeKey(u, v), 0x5eedL) // a salt apart from every sampler's
   override def label: String = s"U($lo,$hi)"
 }
 

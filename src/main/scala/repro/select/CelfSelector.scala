@@ -3,8 +3,8 @@ package repro.select
 import repro.sketch.SketchSet
 
 /** Sequential CELF seed selection (Alg. 2) — the baseline both parallel
-  * structures are measured against, and the strategy of the InfuserMG /
-  * StaticGreedy baselines.
+  * structures are measured against, and the strategy of the InfuserMG
+  * baseline and of StaticGreedy (PaC-IM at α = 0 with this selector).
   *
   * The [[IdHeap]] holds each live vertex once, keyed by its stale
   * score. A vertex already re-evaluated in the current round is selected

@@ -8,31 +8,21 @@ import repro.util.{Par, Rand}
 
 /** Parallel sketch construction — Alg. 1 step 1 / Alg. 3 Sketch(G, r).
   *
-  * The CC algorithm is pluggable:
-  *  - [[CCAlgo.UnionFind]] — PaC-IM's choice (ConnectIt stand-in). The R
-  *    sketches run in blocks of [[blockSize]] sampled graphs, the blocks
-  *    split into one contiguous range per thread. Each block runs one
-  *    [[LocalCC.uniteBlock]], which hashes every edge once for the whole
-  *    block, and each of its sketches is assembled right after (labels,
-  *    sizes, representative centers, partial initial scores) into
-  *    per-thread arrays, so no n-array is allocated per sketch. The
-  *    Spark build ([[SparkSketchBuilder]]) runs the same per-range
-  *    routine ([[buildBlocks]]) in its tasks;
-  *  - [[CCAlgo.Coloring]] — min-label propagation, the algorithm the
-  *    paper attributes to InfuserMG's sketch phase; one sketch at a time
-  *    through [[fromCCLabels]]. Same output, pays a factor of the
-  *    sampled-component diameter.
-  * Both assemble each sketch with the same routine ([[Assembly]]).
-  * `SketchSet.refresh` reruns the union–find pass with a seed mask and
-  * keeps only the sums ([[componentSums]]).
+  * [[build]] runs PaC-IM's blocked union–find (ConnectIt stand-in). The R
+  * sketches run in blocks of [[blockSize]] sampled graphs, the blocks
+  * split into one contiguous range per thread. Each block runs one
+  * [[LocalCC.uniteBlock]], which draws every edge once for the whole
+  * block, and each of its sketches is assembled right after (labels,
+  * sizes, representative centers, partial initial scores) into per-thread
+  * arrays, so no n-array is allocated per sketch. The Spark build
+  * ([[SparkSketchBuilder]]) runs the same per-range routine
+  * ([[buildBlocks]]) in its tasks. [[fromCCLabels]] assembles sketches
+  * from any per-sketch CC labeling with the same routine ([[Assembly]]);
+  * the InfuserMG baseline feeds it coloring CC. `SketchSet.refresh` reruns
+  * the union–find pass with a seed mask and keeps only the sums
+  * ([[componentSums]]).
   */
 object SketchBuilder {
-
-  sealed trait CCAlgo
-  object CCAlgo {
-    case object UnionFind extends CCAlgo
-    case object Coloring extends CCAlgo
-  }
 
   /** Uniformly random ρ = round(αn) centers (sorted by vertex id),
     * deterministic in n and α — Sec. 3's uniform center selection.
@@ -83,18 +73,11 @@ object SketchBuilder {
     }
 
   /** Local parallel build (what the benches use). */
-  def build(g: CSRGraph, model: ProbModel, numSketches: Int, alpha: Double,
-            ccAlgo: CCAlgo = CCAlgo.UnionFind): SketchSet = {
+  def build(g: CSRGraph, model: ProbModel, numSketches: Int, alpha: Double): SketchSet = {
     val sampler = EdgeSampler.forSketches(model)
-    val centers = chooseCenters(g.n, alpha)
-    ccAlgo match {
-      case CCAlgo.UnionFind =>
-        val b = blockSize(g.n, numSketches, Par.threads)
-        assemble(g, sampler, numSketches, centers, blocks(numSketches, b)) { (lo, hi, asm) =>
-          buildBlocks(g, sampler, numSketches, b, lo, hi, asm)
-        }
-      case CCAlgo.Coloring =>
-        fromCCLabels(g, sampler, numSketches, centers)(LocalCC.byColoring(g, sampler, _))
+    val b = blockSize(g.n, numSketches, Par.threads)
+    assemble(g, sampler, numSketches, chooseCenters(g.n, alpha), blocks(numSketches, b)) { (lo, hi, asm) =>
+      buildBlocks(g, sampler, numSketches, b, lo, hi, asm)
     }
   }
 

@@ -18,10 +18,10 @@ class InvariantMatrixSpec extends AnyFunSuite {
   private case class Shape(name: String, g: CSRGraph)
   private val shapes = Seq(
     Shape("rmat", GraphGen.rmat(192, 900, seed = 901)),
-    Shape("er", GraphGen.erdosRenyi(200, 400, seed = 902)),
+    Shape("er", TestGens.erdosRenyi(200, 400, seed = 902)),
     Shape("grid", GraphGen.grid(13, 13)),
     Shape("knn", GraphGen.knn(180, 3, seed = 903)),
-    Shape("path", GraphGen.path(120)),
+    Shape("path", TestGens.path(120)),
   )
   private val models: Seq[(String, CSRGraph => ProbModel)] = Seq(
     ("const", _ => Constant(0.15)),

@@ -3,9 +3,12 @@ package repro
 import org.scalacheck.{Gen, Prop, Test}
 import repro.graph.{CSRGraph, GraphGen}
 import repro.prob.{Constant, ProbModel, UniformHash, WIC}
+import repro.util.Rand
+import repro.util.Rand.Pcg
 
-/** Inputs shared by the test suites: three fixed small graphs, and the
-  * ScalaCheck generators with their runner.
+/** Inputs shared by the test suites: three fixed small graphs, small
+  * deterministic shapes, the ScalaCheck generators with their runner, and
+  * adjacency queries the program itself never makes.
   */
 object TestGens {
 
@@ -15,6 +18,37 @@ object TestGens {
     ("grid-tiny", GraphGen.grid(20, 20), Constant(0.2)),
     ("knn-tiny", GraphGen.knn(400, 4, seed = 2), Constant(0.2)),
   )
+
+  /** Erdős–Rényi G(n, m): about 1.2 m uniform vertex pairs, self loops
+    * dropped and duplicates merged.
+    */
+  def erdosRenyi(n: Int, m: Int, seed: Long = 13): CSRGraph = {
+    val rng = new Pcg(seed)
+    val packed = new Array[Long]((m * 1.2).toInt + 8)
+    var i = 0
+    while (i < packed.length) {
+      packed(i) = Rand.edgeKey(rng.nextInt(n), rng.nextInt(n))
+      i += 1
+    }
+    CSRGraph.fromPackedEdges(n, packed)
+  }
+
+  /** Simple deterministic shapes. */
+  def path(n: Int): CSRGraph = CSRGraph.fromEdges(n, (0 until n - 1).map(i => (i, i + 1)))
+  def cycle(n: Int): CSRGraph = CSRGraph.fromEdges(n, (0 until n).map(i => (i, (i + 1) % n)))
+  def star(n: Int): CSRGraph = CSRGraph.fromEdges(n, (1 until n).map(i => (0, i)))
+  def clique(n: Int): CSRGraph =
+    CSRGraph.fromEdges(n, for { i <- 0 until n; j <- i + 1 until n } yield (i, j))
+  def empty(n: Int): CSRGraph = CSRGraph.fromEdges(n, Nil)
+
+  /** Adjacency queries on a CSR graph. */
+  implicit final class GraphOps(private val g: CSRGraph) extends AnyVal {
+    /** v's neighbors, ascending, in a fresh array. */
+    def neighbors(v: Int): Array[Int] = java.util.Arrays.copyOfRange(g.adj, g.offsets(v), g.offsets(v + 1))
+
+    def hasEdge(u: Int, v: Int): Boolean =
+      java.util.Arrays.binarySearch(g.adj, g.offsets(u), g.offsets(u + 1), v) >= 0
+  }
 
   /** A random simple graph on n vertices with up to 2n edge draws (self
     * loops dropped, duplicates merged); the empty graph for n = 0.

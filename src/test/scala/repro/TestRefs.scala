@@ -1,5 +1,6 @@
 package repro
 
+import repro.TestGens.GraphOps
 import repro.core.InfluenceEval
 import repro.graph.CSRGraph
 import repro.prob.{Constant, ProbModel}

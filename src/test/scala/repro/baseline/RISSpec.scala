@@ -59,9 +59,27 @@ class RISSpec extends AnyFunSuite {
   test("greedy max coverage on a crafted instance") {
     // Star with p=1: all RR sets are the whole graph; first seed covers
     // everything, remaining seeds are arbitrary but distinct.
-    val g = GraphGen.star(12)
+    val g = TestGens.star(12)
     val res = RIS.run(g, Constant(1.0), 3, pilot = 64)
     assert(res.seeds.distinct.length == 3)
+  }
+
+  test("an empty graph returns no seeds, with theta = 0 and nothing capped") {
+    val res = RIS.run(CSRGraph.fromEdges(0, Nil), Constant(0.5), k = 3)
+    assert(res.seeds.isEmpty && res.theta == 0L && res.requiredTheta == 0L && !res.capped)
+  }
+
+  test("k = 0 returns no seeds, with theta = 0 and nothing capped") {
+    val g = GraphGen.rmat(256, 1500, seed = 85)
+    val res = RIS.run(g, Constant(0.05), k = 0)
+    assert(res.seeds.isEmpty && res.theta == 0L && res.requiredTheta == 0L && !res.capped)
+    assert(res.rrBytes == 0L)
+  }
+
+  test("negative k is rejected") {
+    val g = GraphGen.rmat(256, 1500, seed = 86)
+    intercept[IllegalArgumentException](RIS.run(g, Constant(0.05), k = -1))
+    intercept[IllegalArgumentException](RIS.run(CSRGraph.fromEdges(0, Nil), Constant(0.05), k = -1))
   }
 
   /** Greedy max coverage written out: k times the vertex, not yet a seed,

@@ -1,7 +1,7 @@
 package repro.connectivity
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec, TestRefs}
+import repro.{Oracle, SparkSpec, TestGens, TestRefs}
 import repro.graph.{CSRGraph, GraphGen}
 import repro.prob.Constant
 import repro.sample.EdgeSampler
@@ -19,13 +19,13 @@ class DistCCSpec extends SparkSpec {
 
   test("DistCC matches BFS on random graphs") {
     (0 until 4).foreach { s =>
-      val g = GraphGen.erdosRenyi(120, 80 + 60 * s, seed = 400 + s)
+      val g = TestGens.erdosRenyi(120, 80 + 60 * s, seed = 400 + s)
       assert(distLabels(g).toSeq == TestRefs.bfsCC(g).toSeq, s"seed $s")
     }
   }
 
   test("DistCC handles a high-diameter path in logarithmic rounds") {
-    val g = GraphGen.path(400)
+    val g = TestGens.path(400)
     assert(distLabels(g).forall(_ == 0))
   }
 
@@ -37,7 +37,7 @@ class DistCCSpec extends SparkSpec {
   }
 
   test("DistCC computes per-group components independently") {
-    val g = GraphGen.erdosRenyi(100, 250, seed = 404)
+    val g = TestGens.erdosRenyi(100, 250, seed = 404)
     val sampler = EdgeSampler.forSketches(Constant(0.4))
     // Two sampled graphs as two groups in ONE job.
     val pairs = for {
@@ -79,7 +79,7 @@ class DistCCSpec extends SparkSpec {
   }
 
   test("DistCC agrees with a DuckDB recursive-CTE oracle") {
-    val g = GraphGen.erdosRenyi(60, 90, seed = 405)
+    val g = TestGens.erdosRenyi(60, 90, seed = 405)
     import spark.implicits._
     val labels = distLabels(g)
     val sparkDf = spark.createDataset(labels.zipWithIndex.map { case (l, v) => (v, l) }.toSeq)

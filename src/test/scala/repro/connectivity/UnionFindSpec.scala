@@ -1,7 +1,7 @@
 package repro.connectivity
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestRefs
+import repro.{TestGens, TestRefs}
 import repro.TestRefs.allEdges
 import repro.graph.GraphGen
 import repro.prob.Constant
@@ -11,7 +11,7 @@ class UnionFindSpec extends AnyFunSuite {
 
   test("random graphs: UF labels == BFS labels") {
     (0 until 10).foreach { s =>
-      val g = GraphGen.erdosRenyi(300, 200 + 50 * s, seed = 100 + s)
+      val g = TestGens.erdosRenyi(300, 200 + 50 * s, seed = 100 + s)
       assert(LocalCC.byUnionFind(g, allEdges, 0).toSeq == TestRefs.bfsCC(g).toSeq, s"seed $s")
     }
   }
@@ -21,19 +21,19 @@ class LocalCCSpec extends AnyFunSuite {
 
   test("coloring == union-find on full graphs") {
     (0 until 8).foreach { s =>
-      val g = GraphGen.erdosRenyi(250, 300, seed = 200 + s)
+      val g = TestGens.erdosRenyi(250, 300, seed = 200 + s)
       assert(LocalCC.byColoring(g, allEdges, 0).toSeq == LocalCC.byUnionFind(g, allEdges, 0).toSeq, s"seed $s")
     }
   }
 
   test("coloring == union-find on a high-diameter path") {
-    val g = GraphGen.path(500)
+    val g = TestGens.path(500)
     assert(LocalCC.byColoring(g, allEdges, 0).toSeq == LocalCC.byUnionFind(g, allEdges, 0).toSeq)
     assert(LocalCC.byUnionFind(g, allEdges, 0).forall(_ == 0))
   }
 
   test("sampled CC matches BFS on the same sampled graph") {
-    val g = GraphGen.erdosRenyi(300, 900, seed = 300)
+    val g = TestGens.erdosRenyi(300, 900, seed = 300)
     val sampler = EdgeSampler.forSketches(Constant(0.4))
     (0 until 6).foreach { r =>
       val uf = LocalCC.byUnionFind(g, sampler, r)
@@ -45,7 +45,7 @@ class LocalCCSpec extends AnyFunSuite {
   }
 
   test("different sketch ids sample different graphs") {
-    val g = GraphGen.erdosRenyi(200, 800, seed = 301)
+    val g = TestGens.erdosRenyi(200, 800, seed = 301)
     val sampler = EdgeSampler.forSketches(Constant(0.3))
     val a = LocalCC.byUnionFind(g, sampler, 0)
     val b = LocalCC.byUnionFind(g, sampler, 1)

@@ -4,7 +4,7 @@ import org.scalacheck.{Gen, Prop}
 import org.scalacheck.Prop.propBoolean
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGens.{check, graph, model}
-import repro.TestRefs
+import repro.{TestGens, TestRefs}
 import repro.graph.{CSRGraph, GraphGen}
 import repro.prob.Constant
 import repro.sample.EdgeSampler
@@ -23,7 +23,7 @@ class InfluenceEvalSpec extends AnyFunSuite {
   }
 
   test("p=0: sigma equals the number of seeds") {
-    val g = GraphGen.clique(20)
+    val g = TestGens.clique(20)
     assert(InfluenceEval.estimate(g, Array(1, 5, 9), Constant(0.0), 20) == 3.0)
   }
 
@@ -34,7 +34,7 @@ class InfluenceEvalSpec extends AnyFunSuite {
   }
 
   test("two-hop path: sigma(1 + p + p^2)") {
-    val g = GraphGen.path(3)
+    val g = TestGens.path(3)
     val p = 0.5
     val est = InfluenceEval.estimate(g, Array(0), Constant(p), 40000)
     assert(math.abs(est - (1 + p + p * p)) < 0.02, s"est=$est")
@@ -64,7 +64,7 @@ class InfluenceEvalSpec extends AnyFunSuite {
   }
 
   test("estimate rejects sims <= 0") {
-    val g = GraphGen.path(3)
+    val g = TestGens.path(3)
     Seq(0, -1).foreach { sims =>
       intercept[IllegalArgumentException](InfluenceEval.estimate(g, Array(0), Constant(0.5), sims))
     }

@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{TestGens, TestRefs}
-import repro.baseline.{InfuserMG, StaticGreedy}
+import repro.baseline.InfuserMG
 import repro.graph.GraphGen
 import repro.prob.Constant
 import repro.sample.EdgeSampler
@@ -105,7 +105,7 @@ class PaCIMSpec extends AnyFunSuite {
   test("StaticGreedy baseline (alpha=0 simulation) selects PaC-IM's seeds") {
     TestGens.tiny.foreach { case (name, g, model) =>
       val ours = PaCIM.run(g, model, 12, 16, 1.0)
-      val st = StaticGreedy.run(g, model, 12, 16)
+      val st = PaCIM.run(g, model, 12, 16, alpha = 0.0, selector = new CelfSelector)
       assert(st.seeds.toSeq == ours.seeds.toSeq, name)
       assert(st.sketchBytes < ours.sketchBytes, "alpha=0 must store no per-center data")
     }
@@ -123,7 +123,7 @@ class PaCIMSpec extends AnyFunSuite {
   }
 
   test("GeneralGreedy and PaC-IM reach similar quality on a random graph") {
-    val g = GraphGen.erdosRenyi(80, 200, seed = 67)
+    val g = TestGens.erdosRenyi(80, 200, seed = 67)
     val model = Constant(0.2)
     val mc = TestRefs.generalGreedy(g, model, 5, mcRounds = 400)
     val sk = PaCIM.run(g, model, 5, numSketches = 400, alpha = 1.0)

@@ -5,6 +5,8 @@ import scala.util.Random
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.Prop.propBoolean
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGens
+import repro.TestGens.GraphOps
 import repro.util.Rand
 
 class CSRGraphSpec extends AnyFunSuite {
@@ -39,25 +41,25 @@ class CSRGraphSpec extends AnyFunSuite {
   }
 
   test("degree sums to 2m") {
-    val g = GraphGen.erdosRenyi(200, 600, seed = 3)
+    val g = TestGens.erdosRenyi(200, 600, seed = 3)
     assert((0 until g.n).map(g.degree).sum == 2 * g.m)
   }
 
   test("hasEdge agrees with adjacency") {
-    val g = GraphGen.erdosRenyi(100, 300, seed = 4)
+    val g = TestGens.erdosRenyi(100, 300, seed = 4)
     for (u <- 0 until g.n; v <- 0 until g.n) {
       assert(g.hasEdge(u, v) == g.neighbors(u).contains(v))
     }
   }
 
   test("hasEdge is symmetric") {
-    val g = GraphGen.erdosRenyi(100, 300, seed = 5)
+    val g = TestGens.erdosRenyi(100, 300, seed = 5)
     for (u <- 0 until g.n; v <- 0 until g.n)
       assert(g.hasEdge(u, v) == g.hasEdge(v, u))
   }
 
   test("foreachNeighbor visits exactly the adjacency") {
-    val g = GraphGen.erdosRenyi(50, 120, seed = 6)
+    val g = TestGens.erdosRenyi(50, 120, seed = 6)
     (0 until g.n).foreach { u =>
       val buf = scala.collection.mutable.ArrayBuffer.empty[Int]
       g.foreachNeighbor(u)(buf += _)
@@ -66,7 +68,7 @@ class CSRGraphSpec extends AnyFunSuite {
   }
 
   test("edgeList is canonical and complete") {
-    val g = GraphGen.erdosRenyi(80, 200, seed = 7)
+    val g = TestGens.erdosRenyi(80, 200, seed = 7)
     val el = g.edgeList
     assert(el.length == g.m)
     assert(el.forall { case (u, v) => u < v && g.hasEdge(u, v) })
@@ -74,7 +76,7 @@ class CSRGraphSpec extends AnyFunSuite {
   }
 
   test("csrBytes matches the array sizes") {
-    val g = GraphGen.erdosRenyi(100, 250, seed = 8)
+    val g = TestGens.erdosRenyi(100, 250, seed = 8)
     assert(g.csrBytes == 4L * (g.n + 1) + 4L * g.arcs)
   }
 
@@ -85,13 +87,13 @@ class CSRGraphSpec extends AnyFunSuite {
   }
 
   test("wrap round-trips the raw arrays") {
-    val g = GraphGen.erdosRenyi(60, 150, seed = 9)
+    val g = TestGens.erdosRenyi(60, 150, seed = 9)
     val w = CSRGraph.wrap(g.n, g.offsets, g.adj)
     assert(w.m == g.m && w.neighbors(10).toSeq == g.neighbors(10).toSeq)
   }
 
   test("empty graph has zero edges everywhere") {
-    val g = GraphGen.empty(10)
+    val g = TestGens.empty(10)
     assert(g.m == 0)
     (0 until 10).foreach(v => assert(g.degree(v) == 0))
   }
@@ -220,16 +222,16 @@ class GraphGenSpec extends AnyFunSuite {
   }
 
   test("erdosRenyi approximate edge count") {
-    val g = GraphGen.erdosRenyi(1000, 5000, seed = 19)
+    val g = TestGens.erdosRenyi(1000, 5000, seed = 19)
     assert(g.m > 4000 && g.m <= 6000)
   }
 
   test("path, cycle, star, clique shapes") {
-    assert(GraphGen.path(5).m == 4)
-    assert(GraphGen.cycle(5).m == 5)
-    assert(GraphGen.star(5).m == 4)
-    assert(GraphGen.star(5).degree(0) == 4)
-    assert(GraphGen.clique(5).m == 10)
-    (0 until 5).foreach(v => assert(GraphGen.clique(5).degree(v) == 4))
+    assert(TestGens.path(5).m == 4)
+    assert(TestGens.cycle(5).m == 5)
+    assert(TestGens.star(5).m == 4)
+    assert(TestGens.star(5).degree(0) == 4)
+    assert(TestGens.clique(5).m == 10)
+    (0 until 5).foreach(v => assert(TestGens.clique(5).degree(v) == 4))
   }
 }

@@ -1,7 +1,9 @@
 package repro.sample
 
+import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop.propBoolean
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestRefs
+import repro.{TestGens, TestRefs}
 import repro.graph.GraphGen
 import repro.prob.{Constant, ProbModel, UniformHash, WIC}
 import repro.util.Rand
@@ -33,7 +35,7 @@ class ProbModelSpec extends AnyFunSuite {
   }
 
   test("WIC gives 2/(du+dv), capped at 1") {
-    val g = GraphGen.star(5) // center degree 4, leaves degree 1
+    val g = TestGens.star(5) // center degree 4, leaves degree 1
     val m = WIC.of(g)
     assert(math.abs(m.prob(0, 1) - 2.0 / 5) < 1e-12)
     assert(m.prob(1, 2) == 1.0) // two degree-1 vertices (not an edge, still defined)
@@ -145,6 +147,35 @@ class EdgeSamplerSpec extends AnyFunSuite {
       if (m == Constant(0.0)) assert(hits == 0L)
       if (m == Constant(1.0)) assert(hits == edges.length.toLong * rs.length)
     }
+  }
+
+  test("sampleBlock keeps exactly the candidate graphs that sampleSalted keeps") {
+    val cases = for {
+      n <- Gen.choose(2, 30)
+      g <- TestGens.graph(n)
+      m <- TestGens.model(g)
+      salt <- Gen.oneOf(EdgeSampler.SketchSalt, EdgeSampler.EvalSalt, EdgeSampler.RisSalt)
+      b <- Gen.oneOf(Gen.choose(1, 64), Gen.const(64))
+      r0 <- Gen.oneOf(Gen.choose(0, 1000), Gen.const(Int.MaxValue - 64))
+      pairs <- Gen.listOfN(8, Gen.zip(Gen.choose(0, n - 1), Gen.choose(0, n - 1)))
+      random <- Gen.long
+    } yield (new EdgeSampler(m, salt), b, r0, pairs, random)
+    val prop = Prop.forAllNoShrink(cases) { case (s, b, r0, pairs, random) =>
+      val full = -1L >>> (64 - b)
+      val salts = s.saltsOf(r0, b)
+      val saltsOk = salts.toSeq == (0 until b).map(j => s.saltOf(r0 + j))
+      val bad = for {
+        (u, v) <- pairs
+        cand <- Seq(0L, full, random & full)
+        expect = (0 until b).foldLeft(0L) { (acc, j) =>
+          if ((cand >>> j & 1L) != 0L && s.sampleSalted(u, v, s.saltOf(r0 + j))) acc | 1L << j else acc
+        }
+        got = s.sampleBlock(u, v, salts, cand)
+        if got != expect
+      } yield f"($u, $v) cand=$cand%x: got $got%x, expected $expect%x"
+      (saltsOk && bad.isEmpty) :| s"${s.model.label} salt=${s.salt} b=$b r0=$r0 ${bad.mkString("; ")}"
+    }
+    TestGens.check(prop, 300)
   }
 
   test("golden: sampled edges of a fixed R-MAT graph for r in 0..7") {

@@ -1,7 +1,7 @@
 package repro.select
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestRefs
+import repro.{TestGens, TestRefs}
 import repro.core.PaCIM
 import repro.graph.{CSRGraph, GraphGen}
 import repro.prob.{Constant, ProbModel, UniformHash}
@@ -17,14 +17,14 @@ class SelectorSpec extends AnyFunSuite {
   )
 
   private def cases: Seq[(String, CSRGraph, ProbModel, Int)] = Seq(
-    ("er-dense", GraphGen.erdosRenyi(150, 500, seed = 51), Constant(0.3), 10),
-    ("er-sparse", GraphGen.erdosRenyi(200, 250, seed = 52), Constant(0.5), 12),
+    ("er-dense", TestGens.erdosRenyi(150, 500, seed = 51), Constant(0.3), 10),
+    ("er-sparse", TestGens.erdosRenyi(200, 250, seed = 52), Constant(0.5), 12),
     ("rmat", GraphGen.rmat(256, 1500, seed = 53), Constant(0.08), 15),
     ("grid", GraphGen.grid(15, 15), Constant(0.25), 10),
     ("knn", GraphGen.knn(250, 4, seed = 54), Constant(0.2), 10),
     ("uniform-p", GraphGen.rmat(200, 1000, seed = 55), UniformHash(0.0, 0.2), 8),
-    ("path", GraphGen.path(100), Constant(0.9), 5),
-    ("star", GraphGen.star(64), Constant(0.5), 4),
+    ("path", TestGens.path(100), Constant(0.9), 5),
+    ("star", TestGens.star(64), Constant(0.5), 4),
   )
 
   test("all selectors pick the seed set of brute-force greedy on sigma-hat") {
@@ -114,7 +114,7 @@ class SelectorSpec extends AnyFunSuite {
   }
 
   test("selecting k = n seeds takes every vertex") {
-    val g = GraphGen.erdosRenyi(30, 60, seed = 56)
+    val g = TestGens.erdosRenyi(30, 60, seed = 56)
     val sk = SketchBuilder.build(g, Constant(0.3), 8, 1.0)
     selectors.foreach { sel =>
       val seeds = PaCIM.selectOn(sk, 30, sel).seeds

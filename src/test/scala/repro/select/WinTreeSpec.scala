@@ -1,6 +1,7 @@
 package repro.select
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGens
 import repro.core.PaCIM
 import repro.graph.GraphGen
 import repro.prob.Constant
@@ -24,7 +25,7 @@ class WinTreeSpec extends AnyFunSuite {
     // sequential one. A 512-leaf tree has its leaves at depth 9, below
     // FindMax's fork cutoff at depth 8, so the run both forks and
     // recurses sequentially.
-    val g = GraphGen.erdosRenyi(333, 800, seed = 72)
+    val g = TestGens.erdosRenyi(333, 800, seed = 72)
     val sk = SketchBuilder.build(g, Constant(0.3), 12, 0.2)
     assert(WinTreeSelector.leafCount(g.n) == 512)
     val wt = PaCIM.selectOn(sk, 12, new WinTreeSelector()).seeds.toSeq
@@ -47,20 +48,20 @@ class WinTreeSpec extends AnyFunSuite {
   }
 
   test("a graph without edges never refreshes, even with no centers") {
-    val sk = SketchBuilder.build(GraphGen.empty(50), Constant(0.5), 8, 0.0)
+    val sk = SketchBuilder.build(TestGens.empty(50), Constant(0.5), 8, 0.0)
     val r = PaCIM.selectOn(sk, 5, new WinTreeSelector())
     assert(r.refreshes == 0 && r.seeds.toSeq == (0 until 5))
   }
 
   test("n = 1 graph") {
-    val g = GraphGen.empty(1)
+    val g = TestGens.empty(1)
     val sk = SketchBuilder.build(g, Constant(0.5), 4, 1.0)
     val r = PaCIM.selectOn(sk, 1, new WinTreeSelector())
     assert(r.seeds.toSeq == Seq(0))
   }
 
   test("k larger than n is truncated to n") {
-    val g = GraphGen.path(7)
+    val g = TestGens.path(7)
     val sk = SketchBuilder.build(g, Constant(0.5), 4, 1.0)
     Seq(new WinTreeSelector(): Selector, new PTreeSelector(), new CelfSelector()).foreach { sel =>
       val r = PaCIM.selectOn(sk, 99, sel)
@@ -69,7 +70,7 @@ class WinTreeSpec extends AnyFunSuite {
   }
 
   test("all-isolated graph: seeds are the smallest ids (score ties)") {
-    val g = GraphGen.empty(10)
+    val g = TestGens.empty(10)
     val sk = SketchBuilder.build(g, Constant(0.5), 4, 1.0)
     Seq(new WinTreeSelector(): Selector, new PTreeSelector(), new CelfSelector()).foreach { sel =>
       assert(PaCIM.selectOn(sk, 3, sel).seeds.toSeq == Seq(0, 1, 2), sel.name)
@@ -77,7 +78,7 @@ class WinTreeSpec extends AnyFunSuite {
   }
 
   test("structure bytes follow the 2n-ids model") {
-    val g = GraphGen.erdosRenyi(1000, 2000, seed = 73)
+    val g = TestGens.erdosRenyi(1000, 2000, seed = 73)
     val sk = SketchBuilder.build(g, Constant(0.2), 4, 1.0)
     val r = PaCIM.selectOn(sk, 2, new WinTreeSelector())
     // 1024 leaves -> 2047 node ids (4B) + n stale sums (8B).

@@ -1,14 +1,22 @@
 package repro.sketch
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestRefs
+import repro.{TestGens, TestRefs}
+import repro.connectivity.LocalCC
 import repro.graph.{CSRGraph, GraphGen}
-import repro.prob.{Constant, UniformHash}
+import repro.prob.{Constant, ProbModel, UniformHash}
 import repro.sample.EdgeSampler
 
 class SketchSetSpec extends AnyFunSuite {
 
   private val alphas = Seq(0.0, 0.1, 0.5, 1.0)
+
+  /** InfuserMG's build: coloring CC, one sketch at a time. */
+  private def coloringBuild(g: CSRGraph, model: ProbModel, numSketches: Int, alpha: Double): SketchSet = {
+    val sampler = EdgeSampler.forSketches(model)
+    SketchBuilder.fromCCLabels(g, sampler, numSketches, SketchBuilder.chooseCenters(g.n, alpha))(
+      LocalCC.byColoring(g, sampler, _))
+  }
 
   test("chooseCenters: bounds, determinism, uniqueness, sortedness") {
     val c = SketchBuilder.chooseCenters(1000, 0.1)
@@ -22,7 +30,7 @@ class SketchSetSpec extends AnyFunSuite {
   }
 
   test("alpha=1 sketch stores every component size at its representative") {
-    val g = GraphGen.erdosRenyi(200, 300, seed = 31)
+    val g = TestGens.erdosRenyi(200, 300, seed = 31)
     val model = Constant(0.5)
     val sk = SketchBuilder.build(g, model, numSketches = 4, alpha = 1.0)
     val sampler = EdgeSampler.forSketches(model)
@@ -38,7 +46,7 @@ class SketchSetSpec extends AnyFunSuite {
   }
 
   test("initScores equal the average component size") {
-    val g = GraphGen.erdosRenyi(150, 250, seed = 32)
+    val g = TestGens.erdosRenyi(150, 250, seed = 32)
     val model = Constant(0.4)
     val numSk = 8
     val sampler = EdgeSampler.forSketches(model)
@@ -75,7 +83,7 @@ class SketchSetSpec extends AnyFunSuite {
   }
 
   test("marginal equals the brute-force marginal gain of sigma-hat") {
-    val g = GraphGen.erdosRenyi(120, 260, seed = 35)
+    val g = TestGens.erdosRenyi(120, 260, seed = 35)
     val model = Constant(0.3)
     val numSk = 8
     val sampler = EdgeSampler.forSketches(model)
@@ -90,7 +98,7 @@ class SketchSetSpec extends AnyFunSuite {
   }
 
   test("marginal of a seed is zero") {
-    val g = GraphGen.erdosRenyi(100, 200, seed = 36)
+    val g = TestGens.erdosRenyi(100, 200, seed = 36)
     val sk = SketchBuilder.build(g, Constant(0.3), 8, 0.3)
     sk.markSeed(17)
     assert(sk.marginal(17) == 0L)
@@ -107,7 +115,7 @@ class SketchSetSpec extends AnyFunSuite {
   }
 
   test("copy isolates seed markings") {
-    val g = GraphGen.erdosRenyi(100, 300, seed = 38)
+    val g = TestGens.erdosRenyi(100, 300, seed = 38)
     val sk = SketchBuilder.build(g, Constant(0.4), 8, 1.0)
     val before = sk.marginal(50)
     val c = sk.copy()
@@ -119,8 +127,8 @@ class SketchSetSpec extends AnyFunSuite {
   test("UF-built and coloring-built sketches are identical") {
     val g = GraphGen.rmat(300, 1500, seed = 39)
     val model = UniformHash(0.0, 0.3)
-    val a = SketchBuilder.build(g, model, 8, 0.2, SketchBuilder.CCAlgo.UnionFind)
-    val b = SketchBuilder.build(g, model, 8, 0.2, SketchBuilder.CCAlgo.Coloring)
+    val a = SketchBuilder.build(g, model, 8, 0.2)
+    val b = coloringBuild(g, model, 8, 0.2)
     (0 until 8).foreach { r =>
       assert(a.labels(r).toSeq == b.labels(r).toSeq)
       assert(a.sizes(r).toSeq == b.sizes(r).toSeq)
@@ -129,7 +137,7 @@ class SketchSetSpec extends AnyFunSuite {
   }
 
   test("sketchBytes follows the O((1+alpha R)n) model") {
-    val g = GraphGen.erdosRenyi(1000, 3000, seed = 40)
+    val g = TestGens.erdosRenyi(1000, 3000, seed = 40)
     val r = 16
     val skFull = SketchBuilder.build(g, Constant(0.2), r, 1.0)
     val skComp = SketchBuilder.build(g, Constant(0.2), r, 0.1)
@@ -153,7 +161,7 @@ class SketchSetSpec extends AnyFunSuite {
   }
 
   test("alpha=1 evaluations visit exactly one vertex per sketch") {
-    val g = GraphGen.erdosRenyi(500, 1500, seed = 42)
+    val g = TestGens.erdosRenyi(500, 1500, seed = 42)
     val sk = SketchBuilder.build(g, Constant(0.2), 8, 1.0)
     sk.visitCounter.reset()
     sk.marginal(123)
@@ -173,7 +181,7 @@ class SketchSetSpec extends AnyFunSuite {
   test("drawCounter counts GetCenter's arc draws: none at alpha=1 and none for markSeed") {
     // p = 1 on a 10-vertex path with no centers: a search draws each of the
     // 9 edges once, from whichever end it reaches first.
-    val g = GraphGen.path(10)
+    val g = TestGens.path(10)
     val bare = SketchBuilder.build(g, Constant(1.0), 2, 0.0)
     Seq(0, 5, 9).foreach { v =>
       val before = bare.drawCounter.sum()
@@ -189,7 +197,7 @@ class SketchSetSpec extends AnyFunSuite {
   }
 
   test("one marginal call adds exactly the GetCenter visits a plain BFS predicts") {
-    val g = GraphGen.erdosRenyi(80, 160, seed = 44)
+    val g = TestGens.erdosRenyi(80, 160, seed = 44)
     val model = Constant(0.5)
     val numSk = 6
     val sampler = EdgeSampler.forSketches(model)
@@ -210,7 +218,7 @@ class SketchSetSpec extends AnyFunSuite {
   }
 
   test("markSeed zeroes exactly the component's representative size") {
-    val g = GraphGen.path(10) // one CC when p=1
+    val g = TestGens.path(10) // one CC when p=1
     val sk = SketchBuilder.build(g, Constant(1.0), 2, 1.0)
     assert(sk.sizes(0)(0) == 10)
     sk.markSeed(5)
@@ -245,8 +253,8 @@ class SketchSetSpec extends AnyFunSuite {
   test("an empty graph builds rho = 0 sketches with empty initScores") {
     val g = CSRGraph.fromEdges(0, Nil)
     alphas.foreach { a =>
-      Seq(SketchBuilder.CCAlgo.UnionFind, SketchBuilder.CCAlgo.Coloring).foreach { algo =>
-        val sk = SketchBuilder.build(g, Constant(0.5), 5, a, algo)
+      Seq("union-find" -> SketchBuilder.build _, "coloring" -> coloringBuild _).foreach { case (algo, build) =>
+        val sk = build(g, Constant(0.5), 5, a)
         assert(sk.R == 5 && sk.rho == 0 && sk.initScores.isEmpty, s"alpha=$a $algo")
         assert(sk.labels.forall(_.isEmpty) && sk.sizes.forall(_.isEmpty))
       }

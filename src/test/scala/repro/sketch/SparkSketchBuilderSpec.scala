@@ -10,7 +10,7 @@ import repro.prob.{Constant, UniformHash, WIC}
 class SparkSketchBuilderSpec extends SparkSpec {
 
   test("sampledEdges matches the driver-side sampler exactly") {
-    val g = GraphGen.erdosRenyi(100, 300, seed = 601)
+    val g = TestGens.erdosRenyi(100, 300, seed = 601)
     val model = Constant(0.3)
     val df = SparkSketchBuilder.sampledEdges(spark, g, model, numSketches = 4)
     val got = df.collect().map(r => (r.getAs[Number]("g").intValue(),
@@ -85,7 +85,7 @@ class SparkInfluenceSpec extends SparkSpec {
   }
 
   test("sparkEstimate rejects sims <= 0") {
-    val g = GraphGen.path(3)
+    val g = TestGens.path(3)
     Seq(0, -1).foreach { sims =>
       intercept[IllegalArgumentException](InfluenceEval.sparkEstimate(spark, g, Array(0), Constant(0.5), sims))
     }

@@ -7,10 +7,11 @@ import repro.sample.EdgeSampler
   *
   *  - [[uniteBlock]] — what PaC-IM's sketch builder uses (ConnectIt
   *    stand-in): union–find over a *block* of sampled graphs at once.
-  *    Each arc is drawn once for the whole block by
-  *    [[EdgeSampler.sampleBlock]] (Infuser's fused sampling, with the
-  *    edge's half of the hash shared across sketches). [[byUnionFind]] is
-  *    the same kernel on a block of one;
+  *    The scan collects the u < w arcs into chunks, and
+  *    [[EdgeSampler.sampleChunk]] draws each chunk in every graph of the
+  *    block at once (Infuser's fused sampling: each edge's half of the hash
+  *    is shared across sketches, and the draws run in vector lanes).
+  *    [[byUnionFind]] is the same kernel on a block of one;
   *  - [[byColoring]] — iterative min-label propagation, the "standard
   *    coloring idea" the paper attributes to InfuserMG's sketch phase
   *    (Sec. 5.2). Same output, different cost profile: O(#iterations · m)
@@ -30,6 +31,10 @@ object LocalCC {
     * A union links the larger root under the smaller, so every root is the
     * minimum vertex id of its component and par(v) < v for every non-root
     * (path halving keeps both); [[labelOf]] relies on it. 1 <= b <= 64.
+    *
+    * The u < w arcs are drawn in chunks of [[EdgeSampler.ChunkSize]]
+    * ([[EdgeSampler.sampleChunk]]) and linked in scan order, so the
+    * forests do not depend on the chunk size.
     */
   def uniteBlock(g: CSRGraph, sampler: EdgeSampler, r0: Int, b: Int, par: Array[Int]): Unit = {
     require(b >= 1 && b <= 64, s"block of $b sampled graphs")
@@ -43,7 +48,7 @@ object LocalCC {
       v += 1
     }
     val salts = sampler.saltsOf(r0, b)
-    val full = -1L >>> (64 - b)
+    val chunk = new EdgeSampler.Chunk
     val off = g.offsets; val adj = g.adj
     var u = 0
     while (u < n) {
@@ -52,16 +57,33 @@ object LocalCC {
       while (i < end) {
         val w = adj(i)
         if (u < w) {
-          var hit = sampler.sampleBlock(u, w, salts, full)
-          while (hit != 0L) {
-            link(par, b, java.lang.Long.numberOfTrailingZeros(hit), u, w)
-            hit &= hit - 1
-          }
+          chunk.add(u, w)
+          if (chunk.full) linkChunk(sampler, salts, chunk, par, b)
         }
         i += 1
       }
       u += 1
     }
+    linkChunk(sampler, salts, chunk, par, b)
+  }
+
+  // Draws the chunk's edges in the block's graphs, then links each edge in
+  // the forests of the graphs that keep it, edge by edge in chunk order and
+  // each edge's forests in ascending order: the links of a scan that drew
+  // one edge at a time. Empties the chunk.
+  private def linkChunk(sampler: EdgeSampler, salts: Array[Long], c: EdgeSampler.Chunk,
+                        par: Array[Int], b: Int): Unit = {
+    sampler.sampleChunk(c, salts)
+    var i = 0
+    while (i < c.len) {
+      var hit = c.mask(i)
+      while (hit != 0L) {
+        link(par, b, java.lang.Long.numberOfTrailingZeros(hit), c.u(i), c.w(i))
+        hit &= hit - 1
+      }
+      i += 1
+    }
+    c.len = 0
   }
 
   // Root of x in forest j, halving the path on the way.

@@ -67,8 +67,12 @@ object CSRGraph {
     * are sorted, then scattered in key order. Vertex x receives its smaller
     * neighbors (keys `(u, x)`, u < x) before its larger ones (keys `(x, v)`),
     * each group ascending, so every list comes out sorted by construction.
+    *
+    * n must lie in [0, Int.MaxValue), since `offsets` has n + 1 entries;
+    * any other n is rejected before anything is allocated.
     */
   def fromPackedEdges(n: Int, packed: Array[Long]): CSRGraph = {
+    checkN(n)
     val keys = new Array[Long](packed.length)
     var i = 0
     while (i < keys.length) {
@@ -114,9 +118,14 @@ object CSRGraph {
     * graph view around broadcast arrays on Spark executors).
     */
   def wrap(n: Int, offsets: Array[Int], adj: Array[Int]): CSRGraph = {
-    require(offsets.length == n + 1 && offsets(n) == adj.length)
+    checkN(n)
+    require(offsets.length == n + 1 && offsets(n) == adj.length,
+            s"CSR arrays of ${offsets.length} offsets and ${adj.length} arcs do not fit n=$n")
     new CSRGraph(n, offsets, adj)
   }
+
+  private def checkN(n: Int): Unit =
+    require(n >= 0 && n < Int.MaxValue, s"n=$n out of [0, Int.MaxValue)")
 
   /** Runs `job` with g's CSR arrays and `extra` broadcast to the cluster,
     * and destroys the broadcasts when it returns. `job` gets a

@@ -172,14 +172,20 @@ object WinTreeSelector {
   /** c: a round refreshes once its GetCenter draws reach c·R·m, where R·m
     * is the draws of one refresh pass. Calibrated on the benchmark's
     * `sf-compressed` workload (R-MAT, n = 32768, 297k edges, p = 0.02,
-    * α = 0.1, R = 256, 4 cores). There round 1 would draw 4.3e8 arcs, 5.7
-    * R·m, and one refresh takes ≈0.11 s, as long as ≈0.7 R·m GetCenter
-    * draws. Median selection times: 0.85 s lazy; 0.12 / 0.13 / 0.15 / 0.20
-    * / 0.28 s at c = 1/16, 1/8, 1/4, 1/2, 1, each with one refresh. A
-    * smaller c gains little there, and raises the cost of a needless
-    * refresh in a round that would have ended just past the budget.
+    * α = 0.1, R = 256, 4 cores), where round 1 would draw 4.3e8 arcs, 5.7
+    * R·m. When a refresh took ≈0.11 s (as long as ≈0.7 R·m GetCenter
+    * draws), median selection times were 0.85 s lazy and 0.12 / 0.13 /
+    * 0.15 / 0.20 / 0.28 s at c = 1/16, 1/8, 1/4, 1/2, 1, each with one
+    * refresh, and c was 1/4. The vectorized draws of the union–find pass
+    * made a refresh cheaper against GetCenter's one-at-a-time draws;
+    * measured again as imbench `im_s` over alternating pairs against
+    * c = 1/4, c = 1/8 won 10 of 10 (medians 0.2057 → 0.1778 s) and c = 1/2
+    * lost 3 of 3 (0.1986 → 0.2547 s). A smaller c raises the cost of a
+    * needless refresh in a round that would have ended just past the
+    * budget; at 1/8 no round of `road` (≈0.54M draws in a whole
+    * selection, R·m = 7.3M) reaches it.
     */
-  private[select] val RefreshBudget = 0.25
+  private[select] val RefreshBudget = 0.125
 
   /** Largest population the tournament tree holds: 2^29 leaves make
     * 2^30 - 1 node ids, and 2^30 leaves would exceed the JVM's array

@@ -11,16 +11,18 @@ import repro.util.{Par, Rand}
   * [[build]] runs PaC-IM's blocked union–find (ConnectIt stand-in). The R
   * sketches run in blocks of [[blockSize]] sampled graphs, the blocks
   * split into one contiguous range per thread. Each block runs one
-  * [[LocalCC.uniteBlock]], which draws every edge once for the whole
-  * block, and each of its sketches is assembled right after (labels,
-  * sizes, representative centers, partial initial scores) into per-thread
-  * arrays, so no n-array is allocated per sketch. The Spark build
-  * ([[SparkSketchBuilder]]) runs the same per-range routine
-  * ([[buildBlocks]]) in its tasks. [[fromCCLabels]] assembles sketches
-  * from any per-sketch CC labeling with the same routine ([[Assembly]]);
-  * the InfuserMG baseline feeds it coloring CC. `SketchSet.refresh` reruns
-  * the union–find pass with a seed mask and keeps only the sums
-  * ([[componentSums]]).
+  * [[LocalCC.uniteBlock]], which draws its edges in chunks, each chunk in
+  * all of the block's graphs at once by one vectorized kernel
+  * (`EdgeSampler.sampleChunk`). Each of the block's sketches is assembled
+  * right after (labels, sizes, representative centers, partial initial
+  * scores) into per-thread arrays, so no n-array is allocated per sketch.
+  * The Spark build ([[SparkSketchBuilder]]) runs the same per-range
+  * routine ([[buildBlocks]]) in its tasks. [[fromCCLabels]] assembles
+  * sketches from any per-sketch CC labeling with the same routine
+  * ([[Assembly]]); the InfuserMG baseline feeds it coloring CC.
+  * `SketchSet.refresh` reruns the union–find pass with a seed mask and
+  * keeps only the sums ([[componentSums]]), so it draws with the same
+  * kernel.
   */
 object SketchBuilder {
 
@@ -47,10 +49,13 @@ object SketchBuilder {
   }
 
   /** Sketches per block of the union–find build: ceil(R / threads), so
-    * that every thread gets a block, at most 16 (B = 8 and B = 32 were no
-    * faster for R = 256 on 4 cores), and small enough that the block's n·B
-    * forest entries fit in one array (n·B <= Int.MaxValue). Always at
-    * least 1.
+    * that every thread gets a block, at most 16, and small enough that the
+    * block's n·B forest entries fit in one array (n·B <= Int.MaxValue).
+    * Always at least 1. The cap was measured again with the vectorized
+    * draws, as imbench `im_s` on `sf-full` (R = 256, 4 cores; medians of
+    * 3 alternating pairs against B = 16): B = 8 was slower (0.1140 →
+    * 0.1339 s), B = 32 and B = 64 no faster (0.1128 → 0.1120 s, 0.1117 →
+    * 0.1111 s), and B = 32 on `sf-compressed` read 0.2046 → 0.2101 s.
     */
   def blockSize(n: Int, numSketches: Int, threads: Int): Int = {
     val perThread = (numSketches.toLong + threads - 1) / threads

@@ -86,6 +86,27 @@ class CSRGraphSpec extends AnyFunSuite {
     }
   }
 
+  test("n outside [0, Int.MaxValue) is rejected by name, before any allocation") {
+    Seq(-1, Int.MinValue, Int.MaxValue).foreach { n =>
+      def rejected(build: => CSRGraph): Unit = {
+        val e = intercept[IllegalArgumentException](build)
+        assert(e.getMessage.contains(s"n=$n"), e.getMessage)
+      }
+      rejected(CSRGraph.fromPackedEdges(n, Array.emptyLongArray))
+      rejected(CSRGraph.fromPackedEdges(n, Array(Rand.edgeKey(0, 1))))
+      rejected(CSRGraph.fromEdges(n, Nil))
+      rejected(CSRGraph.wrap(n, Array(0), Array.emptyIntArray))
+    }
+    // The range's ends that are cheap to build.
+    assert(CSRGraph.fromPackedEdges(0, Array.emptyLongArray).n == 0)
+    assert(CSRGraph.wrap(0, Array(0), Array.emptyIntArray).m == 0)
+  }
+
+  test("wrap rejects arrays that do not fit n") {
+    intercept[IllegalArgumentException](CSRGraph.wrap(2, Array(0, 1), Array(1)))
+    intercept[IllegalArgumentException](CSRGraph.wrap(1, Array(0, 2), Array(0)))
+  }
+
   test("wrap round-trips the raw arrays") {
     val g = TestGens.erdosRenyi(60, 150, seed = 9)
     val w = CSRGraph.wrap(g.n, g.offsets, g.adj)

@@ -178,6 +178,51 @@ class EdgeSamplerSpec extends AnyFunSuite {
     TestGens.check(prop, 300)
   }
 
+  test("sampleChunk masks keep exactly the graphs that sampleSalted keeps, for every edge and lane") {
+    val c = EdgeSampler.ChunkSize
+    val cases = for {
+      n <- Gen.choose(2, 30)
+      g <- TestGens.graph(n)
+      m <- TestGens.model(g)
+      salt <- Gen.oneOf(EdgeSampler.SketchSalt, EdgeSampler.EvalSalt, EdgeSampler.RisSalt)
+      b <- Gen.oneOf(Gen.choose(1, 64), Gen.const(64))
+      r0 <- Gen.oneOf(Gen.choose(0, 1000), Gen.const(Int.MaxValue - 64))
+      len <- Gen.oneOf(0, 1, c - 1, c, c + 1)
+      edges <- Gen.listOfN(len, Gen.zip(Gen.choose(0, n - 1), Gen.choose(0, n - 1)))
+    } yield (new EdgeSampler(m, salt), b, r0, edges.toVector)
+    // One chunk for every case, so each draw runs over a previous case's masks.
+    val chunk = new EdgeSampler.Chunk
+    val prop = Prop.forAllNoShrink(cases) { case (s, b, r0, edges) =>
+      val salts = s.saltsOf(r0, b)
+      // Chunks as a scan fills them: a full one, then the rest.
+      val got = edges.grouped(c).flatMap { part =>
+        chunk.len = 0
+        part.foreach { case (u, v) => chunk.add(u, v) }
+        assert(chunk.full == (part.length == c))
+        s.sampleChunk(chunk, salts)
+        chunk.mask.take(part.length)
+      }.toVector
+      val bad = edges.indices.flatMap { i =>
+        val (u, v) = edges(i)
+        val expect = (0 until b).foldLeft(0L) { (acc, j) =>
+          if (s.sampleSalted(u, v, s.saltOf(r0 + j))) acc | 1L << j else acc
+        }
+        if (got(i) == expect) None else Some(f"edge $i ($u, $v): got ${got(i)}%x, expected $expect%x")
+      }
+      (got.length == edges.length && bad.isEmpty) :|
+        s"${s.model.label} salt=${s.salt} b=$b r0=$r0 edges=${edges.length} ${bad.take(4).mkString("; ")}"
+    }
+    TestGens.check(prop, 300)
+  }
+
+  test("sampleChunk rejects blocks of 0 and of more than 64 graphs") {
+    val s = EdgeSampler.forSketches(Constant(0.5))
+    val chunk = new EdgeSampler.Chunk
+    chunk.add(0, 1)
+    intercept[IllegalArgumentException](s.sampleChunk(chunk, Array.emptyLongArray))
+    intercept[IllegalArgumentException](s.sampleChunk(chunk, s.saltsOf(0, 65)))
+  }
+
   test("golden: sampled edges of a fixed R-MAT graph for r in 0..7") {
     // Count and XOR of the sampled (edge, r) pairs, each edge key tagged with
     // r in bits 58..60; recorded from the hash01-and-double form of the sampler.

@@ -104,6 +104,12 @@ class SketchPropertySpec extends AnyFunSuite {
     r <- Gen.choose(1, 40)
   } yield (g, m, alpha, r)
 
+  // A graph on n vertices from 3n random vertex pairs: for n >= 256 about
+  // 3n edges, more than one chunk of 512.
+  private def manyEdges(n: Int): Gen[CSRGraph] =
+    Gen.listOfN(3 * n, Gen.zip(Gen.choose(0, n - 1), Gen.choose(0, n - 1)))
+      .map(pairs => CSRGraph.fromEdges(n, pairs.filter { case (u, v) => u != v }))
+
   private def describe(g: CSRGraph, m: ProbModel, r: Int): String =
     s"n=${g.n} edges=${g.edgeList.mkString(",")} ${m.label} R=$r"
 
@@ -122,11 +128,19 @@ class SketchPropertySpec extends AnyFunSuite {
   }
 
   test("byUnionFind and uniteBlock on any block equal BFS labels") {
+    // Besides blockCases, graphs with more u < w edges than one chunk of
+    // EdgeSampler.ChunkSize, so that the draws cross chunk boundaries.
+    val overChunk = for {
+      n <- Gen.choose(EdgeSampler.ChunkSize / 2, 2 * EdgeSampler.ChunkSize)
+      g <- manyEdges(n)
+      m <- model(g)
+      r <- Gen.choose(1, 4)
+    } yield (g, m, r)
     val withBlock = for {
-      c <- blockCases
-      b <- Gen.choose(1, 16)
+      c <- Gen.frequency(3 -> blockCases.map(c => (c._1, c._2, c._4)), 1 -> overChunk)
+      b <- Gen.oneOf(Gen.choose(1, 64), Gen.const(64))
       r0 <- Gen.choose(0, 40)
-    } yield (c._1, c._2, c._4, b, r0)
+    } yield (c._1, c._2, c._3, b, r0)
     check(Prop.forAllNoShrink(withBlock) { case (g, m, r, b, r0) =>
       val sampler = EdgeSampler.forSketches(m)
       val where = describe(g, m, r)

@@ -4,14 +4,12 @@ import org.apache.spark.sql.SparkSession
 
 import repro.harness.{Tables, Workloads}
 
-/** Shared SparkSession bootstrap for the spark-submit entrypoints. */
+/** SparkSession bootstrap for the spark-submit entrypoint. */
 object JobSession {
   def get(app: String): SparkSession =
     SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
 }
 

@@ -5,7 +5,7 @@ import java.util.concurrent.atomic.LongAdder
 import repro.graph.CSRGraph
 import repro.prob.ProbModel
 import repro.sample.EdgeSampler
-import repro.select.IdHeap
+import repro.select.TournamentTree
 import repro.util.{Par, Rand, Scratch}
 
 /** Ripples-style baseline [56, 57]: Reverse Influence Sampling.
@@ -70,10 +70,15 @@ object RIS {
     s
   }
 
+  /** Seeds of a max coverage and the number of sets they cover. */
+  private[baseline] final case class Cover(seeds: Array[Int], covered: Int)
+
   /** Greedy max coverage (lazy/CELF-accelerated) of the RR sets: k times
-    * the vertex in the most uncovered sets, the smaller id on ties.
+    * the vertex in the most uncovered sets, the smaller id on ties. Rejects
+    * n above the tree's limit before allocating anything.
     */
-  private[baseline] def maxCover(n: Int, sets: Array[Array[Int]], k: Int): Array[Int] = {
+  private[baseline] def maxCover(n: Int, sets: Array[Array[Int]], k: Int): Cover = {
+    TournamentTree.leafCount(n)
     // Inverted index: vertex -> RR-set ids containing it.
     val deg = new Array[Int](n)
     sets.foreach(_.foreach(v => deg(v) += 1))
@@ -89,33 +94,36 @@ object RIS {
     }
     val counts = deg.clone()
     val covered = new Array[Boolean](sets.length)
-    // Lazy greedy (CELF-style): coverage counts only decrease, so the heap
-    // orders vertices by a snapshot of their count, and a popped vertex
-    // whose snapshot is stale goes back with its current count.
+    var coveredSets = 0
+    // Lazy greedy (CELF-style): coverage counts only decrease, so the tree
+    // orders vertices by a snapshot of their count, and a top whose
+    // snapshot is stale is re-keyed in place with its current count.
     val snap = Array.tabulate(n)(counts(_).toLong)
-    val heap = new IdHeap(snap)
+    val tree = new TournamentTree(snap)
     val seeds = new Array[Int](math.min(k, n))
     var s = 0
     while (s < seeds.length) {
-      var chosen = -1
-      while (chosen < 0) {
-        val top = heap.pop()
-        if (counts(top) == snap(top)) chosen = top
-        else { snap(top) = counts(top); heap.push(top) }
+      var top = tree.top
+      while (counts(top) != snap(top)) {
+        snap(top) = counts(top)
+        tree.update(top)
+        top = tree.top
       }
-      seeds(s) = chosen
-      var i = off(chosen)
-      while (i < off(chosen + 1)) {
+      tree.remove(top)
+      seeds(s) = top
+      var i = off(top)
+      while (i < off(top + 1)) {
         val set = inv(i)
         if (!covered(set)) {
           covered(set) = true
+          coveredSets += 1
           sets(set).foreach(u => counts(u) -= 1)
         }
         i += 1
       }
       s += 1
     }
-    seeds
+    Cover(seeds, coveredSets)
   }
 
   /** k seeds for g. With no vertex or no seed to pick, returns no seeds
@@ -132,16 +140,7 @@ object RIS {
 
     // --- Pilot: estimate an OPT lower bound from a small batch. ---
     val pilotSets = Par.parTabulate(pilot)(i => rrSet(g, sampler, Int.MaxValue - i))
-    val pilotSeeds = maxCover(n, pilotSets, k)
-    val pilotCoverSet = new Array[Boolean](pilot)
-    pilotSeeds.foreach { sv =>
-      var i = 0
-      while (i < pilot) {
-        if (!pilotCoverSet(i) && pilotSets(i).contains(sv)) pilotCoverSet(i) = true
-        i += 1
-      }
-    }
-    val frac = pilotCoverSet.count(identity).toDouble / pilot
+    val frac = maxCover(n, pilotSets, k).covered.toDouble / pilot
     val optHat = math.max(k.toDouble, frac * n / (1.0 + eps))
 
     // --- θ from the IMM bound, capped by the storage budget. ---
@@ -162,7 +161,7 @@ object RIS {
       rr
     }
     val t1 = System.nanoTime()
-    val seeds = maxCover(n, sets, k)
+    val seeds = maxCover(n, sets, k).seeds
     val t2 = System.nanoTime()
 
     Result(

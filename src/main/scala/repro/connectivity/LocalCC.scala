@@ -157,10 +157,9 @@ object LocalCC {
     label
   }
 
-  /** Sizes keyed by canonical label (only entries for label==vertex id). */
-  def sizesOf(labels: Array[Int]): Array[Int] = sizesOf(labels, new Array[Int](labels.length))
-
-  /** [[sizesOf]] added into `size`, which must start all zero. */
+  /** Component sizes keyed by canonical label (only entries for
+    * label == vertex id), added into `size`, which must start all zero.
+    */
   def sizesOf(labels: Array[Int], size: Array[Int]): Array[Int] = {
     var v = 0
     while (v < labels.length) { size(labels(v)) += 1; v += 1 }

@@ -4,7 +4,6 @@ import scala.reflect.ClassTag
 
 import org.apache.spark.SparkContext
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.util.Rand
 
 /** Compact undirected graph in Compressed Sparse Row form.
   *
@@ -141,8 +140,4 @@ object CSRGraph {
     try job(() => (wrap(n, bcOffsets.value, bcAdj.value), bcExtra.value))
     finally { bcOffsets.destroy(); bcAdj.destroy(); bcExtra.destroy() }
   }
-
-  /** Build from (u, v) pairs (order/duplication insensitive). */
-  def fromEdges(n: Int, edges: Iterable[(Int, Int)]): CSRGraph =
-    fromPackedEdges(n, edges.iterator.map { case (u, v) => Rand.edgeKey(u, v) }.toArray)
 }

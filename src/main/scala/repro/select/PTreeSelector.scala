@@ -5,15 +5,15 @@ import repro.util.Par
 
 /** P-tree–based parallel seed selection (Alg. 4).
   *
-  * Per round: pop the top-scoring batch of size 1, 2, 4, … (prefix
-  * doubling) from the heap, re-evaluate each batch *in parallel*, and
-  * stop once the best true score beats the heap's best stale score —
+  * Per round: take the top-scoring batch of size 1, 2, 4, … (prefix
+  * doubling) out of the tree, re-evaluate each batch *in parallel*, and
+  * stop once the best true score beats the tree's best stale score —
   * then the un-chosen evaluated vertices go back with their new scores.
   * A batch is cut at the first vertex whose stale score fails to beat
   * the round's best true score so far, so P-tree evaluates no vertex that
   * cannot win.
   * The paper keeps the stale scores in a P-tree; Alg. 4 needs only its
-  * SplitTop, BatchInsert and Max, which the [[IdHeap]] provides.
+  * SplitTop, BatchInsert and Max, which the [[TournamentTree]] provides.
   *
   * Guarantees (tested): selects exactly CELF's seeds (Thm. 4.1) with at
   * most 2× CELF's evaluations (Thm. 4.2).
@@ -25,7 +25,7 @@ final class PTreeSelector extends Selector {
     require(k >= 0, s"k=$k must be non-negative")
     val n = sk.g.n
     val stale = sk.initScores.clone()
-    val heap = new IdHeap(stale)
+    val tree = new TournamentTree(stale)
 
     val seeds = new Array[Int](math.min(k, n))
     var evals = 0L
@@ -37,15 +37,19 @@ final class PTreeSelector extends Selector {
       var batchSize = 1
       // Round 0's scores are true scores, and a last remaining vertex
       // wins unevaluated (as CELF's does): take the max directly.
-      var stop = round == 0 || heap.size == 1
-      if (stop) best = heap.pop()
+      var stop = round == 0 || tree.size == 1
+      if (stop) { best = tree.top; tree.remove(best) }
       while (!stop) {
         // Stale scores bound true ones: once the top fails to beat the
         // best true score so far, no vertex left can win, so the batch
         // ends there (and with it the round).
-        val popped = Array.newBuilder[Int]
-        while (popped.length < batchSize && heap.size > 0 && beatsBest(heap.top)) popped += heap.pop()
-        val batch = popped.result()
+        val split = Array.newBuilder[Int]
+        while (split.length < batchSize && tree.size > 0 && beatsBest(tree.top)) {
+          val v = tree.top
+          tree.remove(v)
+          split += v
+        }
+        val batch = split.result()
         Par.parFor(batch.length)(i => stale(batch(i)) = sk.marginal(batch(i)))
         evals += batch.length
         batch.foreach { v =>
@@ -54,15 +58,15 @@ final class PTreeSelector extends Selector {
             best = v
           } else pending += v
         }
-        stop = heap.size == 0 || !beatsBest(heap.top)
+        stop = tree.size == 0 || !beatsBest(tree.top)
         batchSize <<= 1
       }
-      pending.result().foreach(heap.push)
+      pending.result().foreach(tree.insert)
       seeds(round) = best
       sk.markSeed(best)
       round += 1
     }
-    // Heap ids + stale scores: 4n + 8n.
-    SelectionResult(seeds, evals, 12L * n)
+    // Tree ids + stale scores: 4(2L-1) + 8n, as Win-Tree's.
+    SelectionResult(seeds, evals, tree.bytes + 8L * n)
   }
 }

@@ -8,13 +8,13 @@ import repro.sketch.SketchSet
 /** Win-Tree–based parallel seed selection (Alg. 5), with a bulk refresh
   * for rounds whose lazy evaluations grow expensive.
   *
-  * The tournament tree is a complete binary tree stored implicitly in an
-  * int array of 2L-1 vertex ids (L = n rounded to a power of two; padding
-  * leaves hold -1). Each internal node holds the id of the child with the
-  * better stale score. `FindMax` recursively explores the tree in
-  * parallel, re-evaluating a node's vertex when it is stale (its id
-  * differs from its parent's) and pruning whole subtrees whose stale best
-  * is already below the global write-max Δ* of true scores. After the
+  * The stale scores sit in a [[TournamentTree]], whose internal nodes hold
+  * the id of the child with the better stale score. `FindMax` recursively
+  * explores the tree's ids in parallel, re-evaluating a node's vertex when
+  * it is stale (its id differs from its parent's) and pruning whole
+  * subtrees whose stale best is already below the global write-max Δ* of
+  * true scores, and resets each node it leaves with the tree's
+  * `betterChild`. After the
   * recursion the root holds the vertex with the best true score
   * (Thm. 4.4); a deterministic (score, id) total order makes the selected
   * seed identical to CELF's even though the *set* of vertices evaluated
@@ -47,14 +47,8 @@ final class WinTreeSelector extends Selector {
   override def select(sk: SketchSet, k: Int): SelectionResult = {
     require(k >= 0, s"k=$k must be non-negative")
     val n = sk.g.n
-    val leaves = WinTreeSelector.leafCount(n)
     val stale = sk.initScores.clone()
-    val ids = new Array[Int](2 * leaves - 1)
-    java.util.Arrays.fill(ids, -1)
-    var v = 0
-    while (v < n) { ids(leaves - 1 + v) = v; v += 1 }
-    rebuild(ids, stale, leaves)
-    val structBytes = 4L * ids.length + 8L * n
+    val tree = new TournamentTree(stale)
     // At least one draw, so a round that draws nothing never refreshes.
     val budget = math.max(1L, (WinTreeSelector.RefreshBudget * sk.R * sk.g.m).toLong)
 
@@ -66,46 +60,29 @@ final class WinTreeSelector extends Selector {
       if (round == 0) {
         // Round-0 scores are true scores; the root already wins.
       } else {
-        val rd = new Round(sk, ids, stale, evalCount, sk.drawCounter.sum() + budget)
+        val rd = new Round(sk, tree, stale, evalCount, sk.drawCounter.sum() + budget)
         rd.findMax()
         if (rd.stopped) {
           sk.refresh(stale)
-          rebuild(ids, stale, leaves)
+          tree.rebuild()
           refreshes += 1
         }
       }
-      val s = ids(0)
+      val s = tree.top
       seeds(round) = s
-      // Remove the seed: -1, below every reachable sum, at its leaf, then
-      // fix its root path.
-      stale(s) = -1L
-      var i = leaves - 1 + s
-      while (i > 0) { i = (i - 1) / 2; ids(i) = betterChild(ids, stale, i) }
+      tree.remove(s)
       sk.markSeed(s)
       round += 1
     }
-    SelectionResult(seeds, evalCount.sum(), structBytes, refreshes)
-  }
-
-  /** Recomputes every internal node from the leaves up. */
-  private def rebuild(ids: Array[Int], stale: Array[Long], leaves: Int): Unit = {
-    var t = leaves - 2
-    while (t >= 0) { ids(t) = betterChild(ids, stale, t); t -= 1 }
-  }
-
-  @inline private def betterChild(ids: Array[Int], stale: Array[Long], t: Int): Int = {
-    val l = ids(2 * t + 1); val r = ids(2 * t + 2)
-    if (l < 0) r
-    else if (r < 0) l
-    else if (Key.better(stale(l), l, stale(r), r)) l
-    else r
+    SelectionResult(seeds, evalCount.sum(), tree.bytes + 8L * n, refreshes)
   }
 
   /** One round's FindMax: the write-max Δ* of true scores, and the stop
     * flag that is set once `sk.drawCounter` reaches `drawLimit`.
     */
-  private final class Round(sk: SketchSet, ids: Array[Int], stale: Array[Long], evals: LongAdder,
+  private final class Round(sk: SketchSet, tree: TournamentTree, stale: Array[Long], evals: LongAdder,
                             drawLimit: Long) {
+    private val ids = tree.ids
     private val best = new AtomicReference[(Long, Int)]((0L, Int.MaxValue))
     @volatile var stopped = false
 
@@ -146,7 +123,7 @@ final class WinTreeSelector extends Selector {
           run(left, id, depth + 1)
           run(left + 1, id, depth + 1)
         }
-        ids(t) = betterChild(ids, stale, t)
+        ids(t) = tree.betterChild(t)
       }
     }
 
@@ -186,20 +163,4 @@ object WinTreeSelector {
     * selection, R·m = 7.3M) reaches it.
     */
   private[select] val RefreshBudget = 0.125
-
-  /** Largest population the tournament tree holds: 2^29 leaves make
-    * 2^30 - 1 node ids, and 2^30 leaves would exceed the JVM's array
-    * length limit.
-    */
-  private[select] val MaxVertices: Int = 1 << 29
-
-  /** Leaves of the tournament tree over n vertices: n rounded up to a
-    * power of two (1 for n ≤ 1).
-    */
-  private[select] def leafCount(n: Int): Int = {
-    require(n <= MaxVertices, s"Win-Tree holds at most $MaxVertices vertices, got n=$n")
-    var leaves = 1
-    while (leaves < n) leaves <<= 1
-    leaves
-  }
 }

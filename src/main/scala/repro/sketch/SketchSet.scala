@@ -198,8 +198,6 @@ final class SketchSet(
       r += 1
     }
   }
-
-  def seeded(v: Int): Boolean = isSeed(v)
 }
 
 object SketchSet {

@@ -22,13 +22,9 @@ object Rand {
   /** Combine two 64-bit values into one hash. */
   @inline def mix2(a: Long, b: Long): Long = mix64(mix64(a) ^ b)
 
-  /** Uniform double in [0, 1) from a 64-bit key. */
-  @inline def hash01(key: Long): Double =
-    (mix64(key) >>> 11) * 1.1102230246251565e-16 // 2^-53
-
   /** Uniform double in [0, 1) from two keys. */
   @inline def hash01(a: Long, b: Long): Double =
-    (mix2(a, b) >>> 11) * 1.1102230246251565e-16
+    (mix2(a, b) >>> 11) * 1.1102230246251565e-16 // 2^-53
 
   /** Canonical undirected-edge key: symmetric in (u, v). */
   @inline def edgeKey(u: Int, v: Int): Long = {

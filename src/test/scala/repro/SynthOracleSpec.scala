@@ -1,7 +1,7 @@
 package repro
 
 import org.apache.spark.sql.functions._
-import repro.graph.{CSRGraph, GraphGen}
+import repro.graph.GraphGen
 
 /** DataFrame-vs-DuckDB oracle checks for the dataflow-side queries:
   * graph degree/edge statistics used by the harness.
@@ -56,7 +56,7 @@ class SynthOracleSpec extends SparkSpec {
   test("CSRGraph round-trips through its DataFrame view") {
     val g = GraphGen.rmat(100, 400, seed = 705)
     val pairs = g.edgeDF(spark).select("src", "dst").collect().map(r => (r.getInt(0), r.getInt(1)))
-    val back = CSRGraph.fromEdges(g.n, pairs)
+    val back = TestGens.fromEdges(g.n, pairs)
     assert(back.edgeList.toSeq == g.edgeList.toSeq)
   }
 }

@@ -33,13 +33,17 @@ object TestGens {
     CSRGraph.fromPackedEdges(n, packed)
   }
 
+  /** Build from (u, v) pairs (order/duplication insensitive). */
+  def fromEdges(n: Int, edges: Iterable[(Int, Int)]): CSRGraph =
+    CSRGraph.fromPackedEdges(n, edges.iterator.map { case (u, v) => Rand.edgeKey(u, v) }.toArray)
+
   /** Simple deterministic shapes. */
-  def path(n: Int): CSRGraph = CSRGraph.fromEdges(n, (0 until n - 1).map(i => (i, i + 1)))
-  def cycle(n: Int): CSRGraph = CSRGraph.fromEdges(n, (0 until n).map(i => (i, (i + 1) % n)))
-  def star(n: Int): CSRGraph = CSRGraph.fromEdges(n, (1 until n).map(i => (0, i)))
+  def path(n: Int): CSRGraph = fromEdges(n, (0 until n - 1).map(i => (i, i + 1)))
+  def cycle(n: Int): CSRGraph = fromEdges(n, (0 until n).map(i => (i, (i + 1) % n)))
+  def star(n: Int): CSRGraph = fromEdges(n, (1 until n).map(i => (0, i)))
   def clique(n: Int): CSRGraph =
-    CSRGraph.fromEdges(n, for { i <- 0 until n; j <- i + 1 until n } yield (i, j))
-  def empty(n: Int): CSRGraph = CSRGraph.fromEdges(n, Nil)
+    fromEdges(n, for { i <- 0 until n; j <- i + 1 until n } yield (i, j))
+  def empty(n: Int): CSRGraph = fromEdges(n, Nil)
 
   /** Adjacency queries on a CSR graph. */
   implicit final class GraphOps(private val g: CSRGraph) extends AnyVal {
@@ -54,13 +58,13 @@ object TestGens {
     * loops dropped, duplicates merged); the empty graph for n = 0.
     */
   def graph(n: Int): Gen[CSRGraph] =
-    if (n == 0) Gen.const(CSRGraph.fromEdges(0, Nil))
+    if (n == 0) Gen.const(fromEdges(0, Nil))
     else {
       val vertex = Gen.choose(0, n - 1)
       for {
         m <- Gen.choose(0, 2 * n)
         pairs <- Gen.listOfN(m, Gen.zip(vertex, vertex))
-      } yield CSRGraph.fromEdges(n, pairs.filter { case (u, v) => u != v })
+      } yield fromEdges(n, pairs.filter { case (u, v) => u != v })
     }
 
   /** One of the three probability models on g. */

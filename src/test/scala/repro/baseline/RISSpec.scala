@@ -5,8 +5,8 @@ import org.scalacheck.Prop.propBoolean
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGens
 import repro.core.{InfluenceEval, PaCIM}
-import repro.graph.{CSRGraph, GraphGen}
-import repro.prob.Constant
+import repro.graph.GraphGen
+import repro.prob.{Constant, WIC}
 
 class RISSpec extends AnyFunSuite {
 
@@ -24,11 +24,29 @@ class RISSpec extends AnyFunSuite {
     // Components of sizes 6, 3, 1 with p=1: every RR set from a component
     // is the whole component; greedy coverage picks them biggest-first.
     val edges = Seq((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (6, 7), (7, 8))
-    val g = CSRGraph.fromEdges(10, edges)
+    val g = TestGens.fromEdges(10, edges)
     val res = RIS.run(g, Constant(1.0), k = 3, pilot = 64)
     val comp = res.seeds.map(v => if (v <= 5) 0 else if (v <= 8) 1 else 2)
     assert(comp.toSet.size == 3, s"seeds=${res.seeds.mkString(",")}")
     assert(comp(0) == 0 && comp(1) == 1 && comp(2) == 2)
+  }
+
+  test("theta, the required theta and the seeds on fixed graphs keep their recorded values") {
+    // The pilot's covered fraction sets OPT-hat and with it theta.
+    val g = GraphGen.rmat(512, 3000, seed = 81)
+    val res = RIS.run(g, Constant(0.05), k = 10, pilot = 256)
+    assert(res.theta == 11167L && res.requiredTheta == 11167L && !res.capped)
+    assert(res.seeds.toSeq == Seq(0, 128, 376, 480, 486, 27, 250, 425, 427, 54))
+    val wic = GraphGen.rmat(1024, 8000, seed = 84)
+    val w = RIS.run(wic, WIC.of(wic), k = 10)
+    assert(w.theta == 35967L && w.requiredTheta == 35967L)
+    assert(w.seeds.toSeq == Seq(128, 8, 0, 4, 1, 32, 16, 2, 576, 34))
+  }
+
+  test("max coverage rejects n above 2^29 before allocating") {
+    // The n-long inverted index alone would take 2 GiB.
+    val e = intercept[IllegalArgumentException](RIS.maxCover((1 << 29) + 1, Array.empty, 1))
+    assert(e.getMessage.contains(s"n=${(1 << 29) + 1}"))
   }
 
   test("theta grows when epsilon shrinks") {
@@ -65,7 +83,7 @@ class RISSpec extends AnyFunSuite {
   }
 
   test("an empty graph returns no seeds, with theta = 0 and nothing capped") {
-    val res = RIS.run(CSRGraph.fromEdges(0, Nil), Constant(0.5), k = 3)
+    val res = RIS.run(TestGens.fromEdges(0, Nil), Constant(0.5), k = 3)
     assert(res.seeds.isEmpty && res.theta == 0L && res.requiredTheta == 0L && !res.capped)
   }
 
@@ -79,7 +97,7 @@ class RISSpec extends AnyFunSuite {
   test("negative k is rejected") {
     val g = GraphGen.rmat(256, 1500, seed = 86)
     intercept[IllegalArgumentException](RIS.run(g, Constant(0.05), k = -1))
-    intercept[IllegalArgumentException](RIS.run(CSRGraph.fromEdges(0, Nil), Constant(0.05), k = -1))
+    intercept[IllegalArgumentException](RIS.run(TestGens.fromEdges(0, Nil), Constant(0.05), k = -1))
   }
 
   /** Greedy max coverage written out: k times the vertex, not yet a seed,
@@ -98,9 +116,12 @@ class RISSpec extends AnyFunSuite {
       k <- Gen.choose(0, n + 2)
     } yield (n, sets, k)
     val prop = Prop.forAllNoShrink(cases) { case (n, sets, k) =>
-      val got = RIS.maxCover(n, sets.map(_.toArray).toArray, k).toSeq
+      val cover = RIS.maxCover(n, sets.map(_.toArray).toArray, k)
+      val got = cover.seeds.toSeq
       val expect = bruteCover(n, sets, k)
-      (got == expect) :| s"n=$n k=$k sets=${sets.map(_.mkString("{", ",", "}")).mkString(",")}: got $got, expected $expect"
+      val covered = sets.count(set => expect.exists(set.contains))
+      (got == expect && cover.covered == covered) :|
+        s"n=$n k=$k sets=${sets.map(_.mkString("{", ",", "}")).mkString(",")}: got $got covering ${cover.covered}, expected $expect covering $covered"
     }
     TestGens.check(prop, 300)
   }

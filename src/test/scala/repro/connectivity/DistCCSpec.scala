@@ -30,7 +30,7 @@ class DistCCSpec extends SparkSpec {
   }
 
   test("DistCC on a disconnected forest") {
-    val g = CSRGraph.fromEdges(12, Seq((0, 1), (2, 3), (3, 4), (6, 7), (7, 8), (8, 9)))
+    val g = TestGens.fromEdges(12, Seq((0, 1), (2, 3), (3, 4), (6, 7), (7, 8), (8, 9)))
     val got = distLabels(g)
     assert(got.toSeq == TestRefs.bfsCC(g).toSeq)
     assert(got(5) == 5 && got(10) == 10 && got(11) == 11) // singletons

@@ -62,7 +62,7 @@ class LocalCCSpec extends AnyFunSuite {
 
   test("sizesOf counts component members at the canonical label") {
     val labels = Array(0, 0, 2, 0, 2, 5)
-    val s = LocalCC.sizesOf(labels)
+    val s = LocalCC.sizesOf(labels, new Array[Int](labels.length))
     assert(s(0) == 3 && s(2) == 2 && s(5) == 1)
     assert(s(1) == 0 && s(3) == 0 && s(4) == 0)
   }

@@ -5,7 +5,7 @@ import org.scalacheck.Prop.propBoolean
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGens.{check, graph, model}
 import repro.{TestGens, TestRefs}
-import repro.graph.{CSRGraph, GraphGen}
+import repro.graph.GraphGen
 import repro.prob.Constant
 import repro.sample.EdgeSampler
 import repro.util.{Par, Scratch}
@@ -13,7 +13,7 @@ import repro.util.{Par, Scratch}
 class InfluenceEvalSpec extends AnyFunSuite {
 
   test("p=1: sigma is the size of the union of seed components") {
-    val g = CSRGraph.fromEdges(10,
+    val g = TestGens.fromEdges(10,
       Seq((0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 8)))
     val model = Constant(1.0)
     assert(InfluenceEval.estimate(g, Array(0), model, 10) == 3.0)
@@ -28,7 +28,7 @@ class InfluenceEvalSpec extends AnyFunSuite {
   }
 
   test("single edge with probability p activates p of the time") {
-    val g = CSRGraph.fromEdges(2, Seq((0, 1)))
+    val g = TestGens.fromEdges(2, Seq((0, 1)))
     val est = InfluenceEval.estimate(g, Array(0), Constant(0.3), 20000)
     assert(math.abs(est - 1.3) < 0.02, s"est=$est")
   }

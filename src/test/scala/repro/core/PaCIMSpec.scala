@@ -51,7 +51,7 @@ class PaCIMSpec extends AnyFunSuite {
   }
 
   test("run on an empty graph returns no seeds") {
-    val g = repro.graph.CSRGraph.fromEdges(0, Nil)
+    val g = TestGens.fromEdges(0, Nil)
     Seq(new CelfSelector(), new PTreeSelector(), new WinTreeSelector()).foreach { s =>
       val res = PaCIM.run(g, Constant(0.05), k = 3, numSketches = 8, alpha = 0.5, selector = s)
       assert(res.seeds.isEmpty, s.getClass.getSimpleName)
@@ -115,7 +115,7 @@ class PaCIMSpec extends AnyFunSuite {
     // Two components with p=1: influence is deterministic, both methods
     // must pick one vertex per component, larger first.
     val edges = (0 until 7).map(i => (i, (i + 1) % 8)) ++ Seq((8, 9), (9, 10))
-    val g = repro.graph.CSRGraph.fromEdges(11, edges)
+    val g = TestGens.fromEdges(11, edges)
     val mc = TestRefs.generalGreedy(g, Constant(1.0), 2, mcRounds = 8)
     val sk = PaCIM.run(g, Constant(1.0), 2, 8, 1.0)
     assert(mc.toSeq == sk.seeds.toSeq)

@@ -12,7 +12,7 @@ import repro.util.Rand
 class CSRGraphSpec extends AnyFunSuite {
 
   test("fromEdges stores both arcs, sorted") {
-    val g = CSRGraph.fromEdges(4, Seq((0, 1), (2, 1), (3, 0)))
+    val g = TestGens.fromEdges(4, Seq((0, 1), (2, 1), (3, 0)))
     assert(g.n == 4 && g.m == 3 && g.arcs == 6)
     assert(g.neighbors(0).toSeq == Seq(1, 3))
     assert(g.neighbors(1).toSeq == Seq(0, 2))
@@ -21,13 +21,13 @@ class CSRGraphSpec extends AnyFunSuite {
   }
 
   test("self-loops are dropped") {
-    val g = CSRGraph.fromEdges(3, Seq((0, 0), (1, 1), (0, 1)))
+    val g = TestGens.fromEdges(3, Seq((0, 0), (1, 1), (0, 1)))
     assert(g.m == 1)
     assert(g.neighbors(0).toSeq == Seq(1))
   }
 
   test("duplicate and reversed edges are merged") {
-    val g = CSRGraph.fromEdges(3, Seq((0, 1), (1, 0), (0, 1), (1, 2)))
+    val g = TestGens.fromEdges(3, Seq((0, 1), (1, 0), (0, 1), (1, 2)))
     assert(g.m == 2)
     assert(g.degree(1) == 2)
   }
@@ -94,7 +94,7 @@ class CSRGraphSpec extends AnyFunSuite {
       }
       rejected(CSRGraph.fromPackedEdges(n, Array.emptyLongArray))
       rejected(CSRGraph.fromPackedEdges(n, Array(Rand.edgeKey(0, 1))))
-      rejected(CSRGraph.fromEdges(n, Nil))
+      rejected(TestGens.fromEdges(n, Nil))
       rejected(CSRGraph.wrap(n, Array(0), Array.emptyIntArray))
     }
     // The range's ends that are cheap to build.

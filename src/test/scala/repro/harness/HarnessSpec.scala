@@ -59,6 +59,12 @@ class HarnessSpec extends SparkSpec {
       assert(inf(Systems.Ours1) == inf(Systems.InfuserMG), "Ours_1 vs InfuserMG influence")
       assert(inf(Systems.Ours1) == inf(Systems.Ours01), "Ours_1 vs Ours_0.1 influence (lossless compression)")
       assert(inf(Systems.Ours1) == inf(Systems.Ours01Lazy), "Ours_1 vs Ours_0.1 lazy influence")
+      // Every selector keeps one tournament tree, 4(2L - 1) bytes, and n
+      // stale scores: both alpha = 0.1 rows hold the same bytes, and
+      // InfuserMG's CELF adds only its n round flags to Ours_1's.
+      def mem(name: String): Long = row.system(name).memBytes
+      assert(mem(Systems.Ours01Lazy) == mem(Systems.Ours01), "P-tree vs Win-Tree memory")
+      assert(mem(Systems.InfuserMG) == mem(Systems.Ours1) + 4L * row.wl.graph.n, "CELF vs Win-Tree memory")
     }
     val s = Tables.formatTable4(rows)
     assert(s.contains("Ripples") && s.contains("geomean"))

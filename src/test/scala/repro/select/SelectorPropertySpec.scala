@@ -23,7 +23,7 @@ class SelectorPropertySpec extends AnyFunSuite {
     for {
       m <- Gen.choose(0, 2 * n)
       pairs <- Gen.listOfN(m, Gen.zip(vertex, vertex))
-    } yield CSRGraph.fromEdges(n, pairs.filter { case (u, v) => u != v })
+    } yield TestGens.fromEdges(n, pairs.filter { case (u, v) => u != v })
   }
 
   /** Disjoint cliques of 1 to 8 consecutive vertices. At p = 1 every
@@ -37,7 +37,7 @@ class SelectorPropertySpec extends AnyFunSuite {
         val end = math.min(n, start + size)
         for { i <- start until end; j <- i + 1 until end } yield (i, j)
       }
-      CSRGraph.fromEdges(n, edges)
+      TestGens.fromEdges(n, edges)
     }
 
   private val cases = for {

@@ -137,7 +137,7 @@ class SelectorSpec extends AnyFunSuite {
     // greedy picks one vertex of the big clique, then one of the small.
     val edges = (for { i <- 0 until 10; j <- i + 1 until 10 } yield (i, j)) ++
       (for { i <- 10 until 25; j <- i + 1 until 25 } yield (i, j))
-    val g = CSRGraph.fromEdges(25, edges)
+    val g = TestGens.fromEdges(25, edges)
     val sk = SketchBuilder.build(g, Constant(1.0), 4, 1.0)
     selectors.foreach { sel =>
       val seeds = PaCIM.selectOn(sk, 2, sel).seeds.toSeq
@@ -158,5 +158,15 @@ class SelectorSpec extends AnyFunSuite {
       assert(wt.refreshes == 0, name)
       assert(wt.evaluations >= celf.evaluations, s"$name: Win-Tree ${wt.evaluations} < CELF ${celf.evaluations}")
     }
+  }
+
+  test("every selector's structure bytes are the tree's ids plus its per-vertex arrays") {
+    // 1000 vertices: 1024 leaves, 2047 node ids of 4 bytes. CELF adds n
+    // stale scores (8 bytes) and round flags (4), P-tree the stale scores
+    // only, as Win-Tree does (WinTreeSpec).
+    val sk = SketchBuilder.build(TestGens.erdosRenyi(1000, 2000, seed = 73), Constant(0.2), 4, 1.0)
+    val ids = 4L * 2047
+    assert(PaCIM.selectOn(sk, 2, new CelfSelector()).structBytes == ids + 12L * 1000)
+    assert(PaCIM.selectOn(sk, 2, new PTreeSelector()).structBytes == ids + 8L * 1000)
   }
 }

@@ -27,7 +27,7 @@ class WinTreeSpec extends AnyFunSuite {
     // recurses sequentially.
     val g = TestGens.erdosRenyi(333, 800, seed = 72)
     val sk = SketchBuilder.build(g, Constant(0.3), 12, 0.2)
-    assert(WinTreeSelector.leafCount(g.n) == 512)
+    assert(TournamentTree.leafCount(g.n) == 512)
     val wt = PaCIM.selectOn(sk, 12, new WinTreeSelector()).seeds.toSeq
     val celf = PaCIM.selectOn(sk, 12, new CelfSelector()).seeds.toSeq
     assert(wt == celf)
@@ -85,18 +85,13 @@ class WinTreeSpec extends AnyFunSuite {
     assert(r.structBytes == 4L * 2047 + 8L * 1000)
   }
 
-  test("leaf count rounds n up to a power of two") {
-    assert(WinTreeSelector.leafCount(0) == 1)
-    assert(WinTreeSelector.leafCount(1) == 1)
-    assert(WinTreeSelector.leafCount(3) == 4)
-    assert(WinTreeSelector.leafCount(1 << 29) == (1 << 29))
-  }
-
   test("populations above 2^29 are rejected instead of overflowing the leaf count") {
     // A graph this large does not fit in a test JVM, so the sizing
-    // function is checked on its own.
+    // function, which Win-Tree's tree calls before it allocates, is checked
+    // on its own; RISSpec checks max coverage's use of it.
     Seq((1 << 29) + 1, (1 << 30) + 1, Int.MaxValue).foreach { n =>
-      intercept[IllegalArgumentException](WinTreeSelector.leafCount(n))
+      val e = intercept[IllegalArgumentException](TournamentTree.leafCount(n))
+      assert(e.getMessage.contains(s"n=$n"))
     }
   }
 }

@@ -3,7 +3,7 @@ package repro.sketch
 import org.scalacheck.{Gen, Prop}
 import org.scalacheck.Prop.propBoolean
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestGens.{check, graph, model}
+import repro.TestGens.{check, fromEdges, graph, model}
 import repro.TestRefs
 import repro.connectivity.LocalCC
 import repro.graph.CSRGraph
@@ -51,7 +51,7 @@ class SketchPropertySpec extends AnyFunSuite {
     // n from 0, and graphs without edges, where a refresh draws nothing.
     val refreshCases = for {
       n <- Gen.choose(0, 60)
-      g <- Gen.oneOf(graph(n), Gen.const(CSRGraph.fromEdges(n, Nil)))
+      g <- Gen.oneOf(graph(n), Gen.const(fromEdges(n, Nil)))
       m <- model(g)
       r <- Gen.choose(1, 12)
       alpha <- Gen.oneOf(0.0, 0.1, 1.0)
@@ -108,7 +108,7 @@ class SketchPropertySpec extends AnyFunSuite {
   // 3n edges, more than one chunk of 512.
   private def manyEdges(n: Int): Gen[CSRGraph] =
     Gen.listOfN(3 * n, Gen.zip(Gen.choose(0, n - 1), Gen.choose(0, n - 1)))
-      .map(pairs => CSRGraph.fromEdges(n, pairs.filter { case (u, v) => u != v }))
+      .map(pairs => fromEdges(n, pairs.filter { case (u, v) => u != v }))
 
   private def describe(g: CSRGraph, m: ProbModel, r: Int): String =
     s"n=${g.n} edges=${g.edgeList.mkString(",")} ${m.label} R=$r"

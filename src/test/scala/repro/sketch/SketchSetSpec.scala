@@ -102,7 +102,10 @@ class SketchSetSpec extends AnyFunSuite {
     val sk = SketchBuilder.build(g, Constant(0.3), 8, 0.3)
     sk.markSeed(17)
     assert(sk.marginal(17) == 0L)
-    assert(sk.seeded(17))
+    // A refresh writes every marginal but the seeds'.
+    val into = Array.fill(g.n)(-7L)
+    sk.refresh(into)
+    assert(into(17) == -7L && into.count(_ == -7L) == 1)
   }
 
   test("sequential and parallel marginal agree") {
@@ -251,7 +254,7 @@ class SketchSetSpec extends AnyFunSuite {
   }
 
   test("an empty graph builds rho = 0 sketches with empty initScores") {
-    val g = CSRGraph.fromEdges(0, Nil)
+    val g = TestGens.fromEdges(0, Nil)
     alphas.foreach { a =>
       Seq("union-find" -> SketchBuilder.build _, "coloring" -> coloringBuild _).foreach { case (algo, build) =>
         val sk = build(g, Constant(0.5), 5, a)

@@ -92,7 +92,7 @@ class SparkInfluenceSpec extends SparkSpec {
   }
 
   test("sparkEstimate on exact cases (p=1 components)") {
-    val g = repro.graph.CSRGraph.fromEdges(10, Seq((0, 1), (1, 2), (4, 5)))
+    val g = TestGens.fromEdges(10, Seq((0, 1), (1, 2), (4, 5)))
     assert(InfluenceEval.sparkEstimate(spark, g, Array(0), Constant(1.0), 16) == 3.0)
     assert(InfluenceEval.sparkEstimate(spark, g, Array(0, 4), Constant(1.0), 16) == 5.0)
   }

@@ -25,11 +25,15 @@ import repro.util.{Par, Rand, Scratch}
   */
 object RIS {
 
+  /** @param bytes modeled memory: the RR sets and their inverted index (4
+    *              bytes per entry each) plus max coverage's working arrays
+    *              ([[Cover]]`.bytes`)
+    */
   final case class Result(
       seeds: Array[Int],
       theta: Long,
       requiredTheta: Long,
-      rrBytes: Long,
+      bytes: Long,
       genTimeMs: Long,
       coverTimeMs: Long,
       capped: Boolean,
@@ -70,8 +74,12 @@ object RIS {
     s
   }
 
-  /** Seeds of a max coverage and the number of sets they cover. */
-  private[baseline] final case class Cover(seeds: Array[Int], covered: Int)
+  /** Seeds of a max coverage, the number of sets they cover, and the bytes
+    * of its working arrays besides the inverted index: `deg`, `off`, `cur`
+    * and `counts` (4n each), `snap` (8n), the tournament tree (4(2L − 1))
+    * and `covered` (one byte per set).
+    */
+  private[baseline] final case class Cover(seeds: Array[Int], covered: Int, bytes: Long)
 
   /** Greedy max coverage (lazy/CELF-accelerated) of the RR sets: k times
     * the vertex in the most uncovered sets, the smaller id on ties. Rejects
@@ -123,7 +131,7 @@ object RIS {
       }
       s += 1
     }
-    Cover(seeds, coveredSets)
+    Cover(seeds, coveredSets, 24L * n + tree.bytes + sets.length)
   }
 
   /** k seeds for g. With no vertex or no seed to pick, returns no seeds
@@ -161,15 +169,14 @@ object RIS {
       rr
     }
     val t1 = System.nanoTime()
-    val seeds = maxCover(n, sets, k).seeds
+    val cover = maxCover(n, sets, k)
     val t2 = System.nanoTime()
 
     Result(
-      seeds = seeds,
+      seeds = cover.seeds,
       theta = theta,
       requiredTheta = requiredTheta,
-      // RR sets + inverted index, 4 bytes per entry each.
-      rrBytes = 8L * stored.sum(),
+      bytes = 8L * stored.sum() + cover.bytes,
       genTimeMs = (t1 - t0) / 1000000,
       coverTimeMs = (t2 - t1) / 1000000,
       capped = capped,

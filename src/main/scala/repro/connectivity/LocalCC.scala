@@ -6,7 +6,8 @@ import repro.sample.EdgeSampler
 /** Connected components of (implicitly) sampled graphs, computed two ways:
   *
   *  - [[uniteBlock]] — what PaC-IM's sketch builder uses (ConnectIt
-  *    stand-in): union–find over a *block* of sampled graphs at once.
+  *    stand-in): Rem's union–find with splicing, the sequential form of
+  *    ConnectIt's UniteRem, over a *block* of sampled graphs at once.
   *    The scan collects the u < w arcs into chunks, and
   *    [[EdgeSampler.sampleChunk]] draws each chunk in every graph of the
   *    block at once (Infuser's fused sampling: each edge's half of the hash
@@ -25,12 +26,13 @@ object LocalCC {
 
   /** Union–find over the b sampled graphs r0 until r0 + b, in b forests
     * interleaved vertex-major: `par(v·b + j)` is v's parent in the forest
-    * of graph r0 + j, so the b finds of one endpoint share cache lines.
+    * of graph r0 + j, so the b entries of one vertex share cache lines.
     * `par` needs n·b entries; its old contents are ignored.
     *
-    * A union links the larger root under the smaller, so every root is the
-    * minimum vertex id of its component and par(v) < v for every non-root
-    * (path halving keeps both); [[labelOf]] relies on it. 1 <= b <= 64.
+    * A union is Rem's union–find with splicing, oriented to minimum ids:
+    * a node only ever gets a smaller parent, so par(v) < v for every
+    * non-root and every root is the minimum vertex id of its component;
+    * [[labelOf]] relies on it. 1 <= b <= 64.
     *
     * The u < w arcs are drawn in chunks of [[EdgeSampler.ChunkSize]]
     * ([[EdgeSampler.sampleChunk]]) and linked in scan order, so the
@@ -86,35 +88,37 @@ object LocalCC {
     c.len = 0
   }
 
-  // Root of x in forest j, halving the path on the way.
-  @inline private def find(par: Array[Int], b: Int, j: Int, x0: Int): Int = {
-    var x = x0
-    var p = par(x * b + j)
-    while (p != x) {
-      val gp = par(p * b + j)
-      par(x * b + j) = gp
-      x = gp
-      p = par(x * b + j)
-    }
-    x
-  }
-
+  // Rem's union–find with splicing in forest j (Patwary, Blair & Manne,
+  // SEA'10): climbs from u and w at once, always from the side whose
+  // parent is larger, and hangs that node under the other side's parent,
+  // until the parents agree or a root has been hung (the link).
   @inline private def link(par: Array[Int], b: Int, j: Int, u: Int, w: Int): Unit = {
-    val ru = find(par, b, j, u)
-    val rw = find(par, b, j, w)
-    if (ru < rw) par(rw * b + j) = ru
-    else if (rw < ru) par(ru * b + j) = rw
+    var x = u; var y = w
+    var px = par(x * b + j); var py = par(y * b + j)
+    while (px != py) {
+      if (px > py) {
+        par(x * b + j) = py
+        if (x == px) return
+        x = px; px = par(x * b + j)
+      } else {
+        par(y * b + j) = px
+        if (y == py) return
+        y = py; py = par(y * b + j)
+      }
+    }
   }
 
   /** Writes forest j's canonical labels into `out` (n entries) in one
     * ascending pass: par(v) < v for a non-root, so its label is already
-    * final. `out` may be `par` itself when b = 1.
+    * final, and a root (p = v) reads the id just written: no root test
+    * (DESIGN.md, "Branch-free root tests"). `out` may be `par` when b = 1.
     */
   def labelOf(par: Array[Int], b: Int, j: Int, out: Array[Int]): Unit = {
     var v = 0
     while (v < out.length) {
       val p = par(v * b + j)
-      out(v) = if (p == v) v else out(p)
+      out(v) = v
+      out(v) = out(p)
       v += 1
     }
   }

@@ -80,11 +80,7 @@ object InfluenceEval {
           if (hit != 0L) {
             seen(w) |= hit
             total += java.lang.Long.bitCount(hit)
-            if (pending(w) == 0L) {
-              var tail = head + queued
-              if (tail >= n) tail -= n
-              ring(tail) = w; queued += 1
-            }
+            if (pending(w) == 0L) { ring(ringTail(head, queued, n)) = w; queued += 1 }
             pending(w) |= hit
           }
         }
@@ -93,6 +89,13 @@ object InfluenceEval {
     }
     total
   }
+
+  /** The ring slot after the `queued` entries that start at `head`:
+    * (head + queued) mod n, for 0 <= head < n and 0 <= queued < n, without
+    * the Int overflow of head + queued once n > 2^30.
+    */
+  @inline private[core] def ringTail(head: Int, queued: Int, n: Int): Int =
+    if (queued >= n - head) queued - (n - head) else head + queued
 
   /** Simulations per block: ceil(sims / threads), so that every thread
     * gets a block, at most 64 (one bit per simulation in a `Long` mask).

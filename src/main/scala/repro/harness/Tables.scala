@@ -121,7 +121,7 @@ object Tables {
         SystemRow(Systems.Ours01Lazy, inf(ours01Lazy.seeds), ours01Lazy.totalTimeMs, ours01Lazy.totalBytes),
         SystemRow(Systems.InfuserMG, inf(infuser.seeds), infuser.totalTimeMs, infuser.totalBytes),
         SystemRow(Systems.Ripples, inf(ripples.seeds), ripples.totalTimeMs,
-          g.csrBytes + ripples.rrBytes,
+          g.csrBytes + ripples.bytes,
           note = if (ripples.capped) s"theta=${ripples.theta} capped (needs ${ripples.requiredTheta})"
                  else s"theta=${ripples.theta}"),
       ))
@@ -165,8 +165,8 @@ object Tables {
   /** Tab. 4 shape (Consistent p): the shared checks at 97% (paper: 100%);
     * compression is lossless, so both Ours₀.₁ rows' influence is Ours₁'s; on
     * scale-free graphs Ours₀.₁ needs no more memory than Ripples (on road
-    * and k-NN graphs Ripples' θ is small enough at this scale that its RR
-    * sets undercut even compressed sketches); Ours₁, holding the same
+    * graphs Ripples' θ is small enough at this scale that it undercuts
+    * even compressed sketches); Ours₁, holding the same
     * per-vertex data as InfuserMG, stays within 5% of its memory.
     */
   def table4Gates(rows: Seq[Table4Row]): Seq[String] = rows.flatMap { row =>

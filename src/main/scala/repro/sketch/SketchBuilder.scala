@@ -230,16 +230,18 @@ object SketchBuilder {
 
     private def compress(r: Int, cc: Array[Int]): Unit = {
       // Representative = the smallest center index whose center lies in
-      // the component (centers are sorted by vertex id, so a forward scan
-      // fills each component's rep first); only it holds the size.
+      // the component (a forward scan fills each component's rep first);
+      // only it holds the size. No branch on whether rep(l) is set yet:
+      // it mispredicts often (DESIGN.md, "Branch-free root tests").
       val rho = centers.length
       val lab = new Array[Int](rho)
       val siz = new Array[Int](rho)
       var j = 0
       while (j < rho) {
         val l = cc(centers(j))
-        if (rep(l) < 0) { rep(l) = j; lab(j) = j; siz(j) = sizeByLabel(l) }
-        else lab(j) = rep(l)
+        val nr = Assembly.repAfter(rep(l), j)
+        rep(l) = nr; lab(j) = nr
+        siz(j) = sizeByLabel(l) & Assembly.ownerMask(nr, j)
         j += 1
       }
       j = 0
@@ -247,5 +249,18 @@ object SketchBuilder {
       labels(r) = lab
       sizes(r) = siz
     }
+  }
+
+  private[sketch] object Assembly {
+    /** A component's representative once center j, which lies in it, is
+      * scanned: `r` if it has one (r >= 0), else j (r = -1). Valid for
+      * every r in [-1, Int.MaxValue) and j in [0, Int.MaxValue).
+      */
+    @inline def repAfter(r: Int, j: Int): Int = r + ((r >> 31) & (j - r))
+
+    /** All ones if center j represents its component (nr = j), else 0,
+      * for nr and j in [0, Int.MaxValue).
+      */
+    @inline def ownerMask(nr: Int, j: Int): Int = ((nr ^ j) - 1) >> 31
   }
 }

@@ -59,8 +59,12 @@ object Par {
   * up to 64 searches at once (`InfluenceEval.simulateBlock`). They are
   * allocated on first use, so a thread that only runs single searches
   * (GetCenter, MarkSeed, RR sets) never holds their 16n bytes.
+  *
+  * Rejects n outside [0, Int.MaxValue), as `CSRGraph` does, before
+  * allocating anything.
   */
 final class Scratch(val n: Int) {
+  require(n >= 0 && n < Int.MaxValue, s"n=$n out of [0, Int.MaxValue)")
   private val stamp = new Array[Int](n)
   private var version = 0
   val queue = new Array[Int](n)

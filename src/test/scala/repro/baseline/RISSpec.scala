@@ -16,8 +16,19 @@ class RISSpec extends AnyFunSuite {
     assert(res.seeds.length == 10 && res.seeds.distinct.length == 10)
     assert(res.seeds.forall(v => v >= 0 && v < g.n))
     assert(res.theta > 0 && res.theta <= res.requiredTheta)
-    assert(res.rrBytes > 0)
+    assert(res.bytes > 0)
     assert(res.capped == (res.theta < res.requiredTheta))
+  }
+
+  test("modeled bytes: 8 per RR entry plus max coverage's 24n + 4(2L - 1) + theta") {
+    // n = 5 rounds up to L = 8 leaves; one byte per set for `covered`.
+    val sets = Array(Array(0, 1), Array(2), Array(1, 3, 4))
+    assert(RIS.maxCover(5, sets, 2).bytes == 24L * 5 + 4L * (2 * 8 - 1) + 3)
+    val g = GraphGen.rmat(512, 3000, seed = 81)
+    val res = RIS.run(g, Constant(0.05), k = 10, pilot = 256)
+    val rr = res.bytes - (24L * 512 + 4L * (2 * 512 - 1) + res.theta)
+    // Every RR set holds its target, and no set holds more than n vertices.
+    assert(rr % 8 == 0 && rr / 8 >= res.theta && rr / 8 <= res.theta * 512, s"RR bytes $rr")
   }
 
   test("on p=1 components RIS picks one seed per component, biggest first") {
@@ -91,7 +102,7 @@ class RISSpec extends AnyFunSuite {
     val g = GraphGen.rmat(256, 1500, seed = 85)
     val res = RIS.run(g, Constant(0.05), k = 0)
     assert(res.seeds.isEmpty && res.theta == 0L && res.requiredTheta == 0L && !res.capped)
-    assert(res.rrBytes == 0L)
+    assert(res.bytes == 0L)
   }
 
   test("negative k is rejected") {

@@ -1,9 +1,11 @@
 package repro.connectivity
 
+import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop.propBoolean
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{TestGens, TestRefs}
 import repro.TestRefs.allEdges
-import repro.graph.GraphGen
+import repro.graph.{CSRGraph, GraphGen}
 import repro.prob.Constant
 import repro.sample.EdgeSampler
 
@@ -58,6 +60,58 @@ class LocalCCSpec extends AnyFunSuite {
     assert(all.forall(_ == 0))
     val none = LocalCC.byUnionFind(g, EdgeSampler.forSketches(Constant(0.0)), 0)
     assert(none.toSeq == (0 until 100))
+  }
+
+  /** R-MAT, lattice, path and star graphs of up to a few hundred vertices. */
+  private val shapes: Gen[CSRGraph] = Gen.oneOf(
+    Gen.zip(Gen.choose(2, 400), Gen.choose(1L, 1000L)).map { case (n, seed) => GraphGen.rmat(n, 3 * n, seed) },
+    Gen.zip(Gen.choose(1, 20), Gen.choose(1, 20)).map { case (r, c) => GraphGen.grid(r, c) },
+    Gen.choose(1, 300).map(TestGens.path),
+    Gen.choose(1, 300).map(TestGens.star),
+  )
+
+  /** A block of 1 to 64 sampled graphs, often the full 64. */
+  private val blocks: Gen[Int] = Gen.frequency(1 -> Gen.const(64), 2 -> Gen.choose(1, 64))
+
+  test("uniteBlock: every parent is at most its vertex, and each forest labels its sampled graph's components") {
+    val prop = Prop.forAll(shapes.flatMap(g => Gen.zip(Gen.const(g), TestGens.model(g), blocks, Gen.choose(0, 1000)))) {
+      case (g, model, b, r0) =>
+        val sampler = EdgeSampler.forSketches(model)
+        val par = Array.fill(g.n * b)(-1)
+        LocalCC.uniteBlock(g, sampler, r0, b, par)
+        val ordered = (0 until g.n).forall(v => (0 until b).forall(j => par(v * b + j) <= v))
+        // Stale entries, as in a reused array: a root must not read them.
+        val out = Array.fill(g.n)(Int.MaxValue)
+        val labelled = (0 until b).forall { j =>
+          LocalCC.labelOf(par, b, j, out)
+          out.toSeq == TestRefs.bfsCC(g, sampler, r0 + j).toSeq
+        }
+        (ordered :| s"a parent above its vertex, b=$b") && (labelled :| s"labels differ from BFS, b=$b")
+    }
+    TestGens.check(prop, 120)
+  }
+
+  test("labelOf in place (b = 1) equals its out-of-place result") {
+    val prop = Prop.forAll(shapes.flatMap(g => Gen.zip(Gen.const(g), TestGens.model(g), Gen.choose(0, 1000)))) {
+      case (g, model, r) =>
+        val par = new Array[Int](g.n)
+        LocalCC.uniteBlock(g, EdgeSampler.forSketches(model), r, 1, par)
+        val out = Array.fill(g.n)(-7)
+        LocalCC.labelOf(par, 1, 0, out)
+        LocalCC.labelOf(par, 1, 0, par)
+        par.toSeq == out.toSeq
+    }
+    TestGens.check(prop, 100)
+  }
+
+  test("Rem's splicing hangs each node a climb passes under the other side's parent") {
+    // Scan order links (0,3), (1,2), then (2,3). The last climbs from 2
+    // (parent 1 > 0), hangs 2 under 0 and then root 1 under 0. Path
+    // halving with root linking would leave 2 under 1: [0, 0, 1, 0].
+    val g = TestGens.fromEdges(4, Seq((0, 3), (1, 2), (2, 3)))
+    val par = new Array[Int](4)
+    LocalCC.uniteBlock(g, allEdges, 0, 1, par)
+    assert(par.toSeq == Seq(0, 0, 0, 0))
   }
 
   test("sizesOf counts component members at the canonical label") {

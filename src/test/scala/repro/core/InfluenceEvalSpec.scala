@@ -92,6 +92,15 @@ class InfluenceEvalSpec extends AnyFunSuite {
     b <- Gen.choose(1, 64)
   } yield (g, m, sims, if (dup) picks ++ picks.take(1) else picks, b)
 
+  test("ringTail is (head + queued) mod n without overflow for n up to 2^31 - 2") {
+    for (n <- Seq(1, 2, 7, (1 << 30) + 1, Int.MaxValue - 1)) {
+      val picks = Seq(0, 1, n / 2, n - 2, n - 1).filter(x => x >= 0 && x < n).distinct
+      for (head <- picks; queued <- picks)
+        assert(InfluenceEval.ringTail(head, queued, n) == ((head.toLong + queued) % n).toInt,
+          s"n=$n head=$head queued=$queued")
+    }
+  }
+
   test("the block kernel equals one plain BFS per simulation") {
     check(Prop.forAllNoShrink(cases) { case (g, m, sims, seeds, b) =>
       val sampler = EdgeSampler.forEval(m)

@@ -45,6 +45,39 @@ class SketchSetSpec extends AnyFunSuite {
     }
   }
 
+  test("compression matches a reference: centers grouped by label, the smallest index represents") {
+    val model = Constant(0.3)
+    val sampler = EdgeSampler.forSketches(model)
+    val numSk = 9
+    for (g <- Seq(TestGens.erdosRenyi(300, 400, seed = 35), GraphGen.grid(12, 15)); a <- alphas) {
+      val sk = SketchBuilder.build(g, model, numSk, a)
+      val centers = SketchBuilder.chooseCenters(g.n, a)
+      (0 until numSk).foreach { r =>
+        val cc = TestRefs.bfsCC(g, sampler, r)
+        val size = cc.groupBy(identity).view.mapValues(_.length).toMap
+        val lab = new Array[Int](centers.length)
+        val siz = new Array[Int](centers.length)
+        centers.indices.groupBy(j => cc(centers(j))).foreach { case (l, js) =>
+          js.foreach(lab(_) = js.min)
+          siz(js.min) = size(l)
+        }
+        assert(sk.labels(r).toSeq == lab.toSeq, s"labels, alpha=$a sketch $r")
+        assert(sk.sizes(r).toSeq == siz.toSeq, s"sizes, alpha=$a sketch $r")
+      }
+    }
+  }
+
+  test("the branch-free representative and owner mask hold for indices up to 2^31 - 2") {
+    val idx = Seq(0, 1, 2, 3, (1 << 30) - 1, 1 << 30, (1 << 30) + 1, (1 << 30) + 2, Int.MaxValue - 2, Int.MaxValue - 1)
+    for (j <- idx) {
+      assert(SketchBuilder.Assembly.repAfter(-1, j) == j, s"no rep yet, j=$j")
+      for (r <- idx) {
+        assert(SketchBuilder.Assembly.repAfter(r, j) == r, s"r=$r j=$j")
+        assert(SketchBuilder.Assembly.ownerMask(r, j) == (if (r == j) -1 else 0), s"nr=$r j=$j")
+      }
+    }
+  }
+
   test("initScores equal the average component size") {
     val g = TestGens.erdosRenyi(150, 250, seed = 32)
     val model = Constant(0.4)

@@ -109,6 +109,14 @@ class ParSpec extends AnyFunSuite {
     if (err != null) throw err
   }
 
+  test("Scratch rejects n outside [0, Int.MaxValue) before allocating, naming n") {
+    for (n <- Seq(-1, Int.MinValue, Int.MaxValue)) {
+      val e = intercept[IllegalArgumentException](new Scratch(n))
+      assert(e.getMessage.contains(s"n=$n"), e.getMessage)
+    }
+    assert(new Scratch(0).n == 0)
+  }
+
   test("Scratch.local is per-thread and per-size") {
     onFreshThread {
       val a = Scratch.local(100)

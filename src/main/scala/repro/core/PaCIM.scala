@@ -58,7 +58,7 @@ object PaCIM {
       evaluations = sel.evaluations,
       sketchTimeMs = (t1 - t0) / 1000000,
       selectTimeMs = (t2 - t1) / 1000000,
-      sketchBytes = sk.sketchBytes + 8L * g.n, // + memoized init scores
+      sketchBytes = sk.sketchBytes + 8L * g.n, // + the per-vertex scores
       structBytes = sel.structBytes,
       csrBytes = g.csrBytes,
       bfsVisits = sk.visitCounter.sum(),

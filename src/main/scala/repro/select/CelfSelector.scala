@@ -7,9 +7,9 @@ import repro.sketch.SketchSet
   * baseline and of StaticGreedy (PaC-IM at α = 0 with this selector).
   *
   * The [[TournamentTree]] holds each live vertex once, keyed by its
-  * stale score. A top not yet re-evaluated in the current round is
-  * re-evaluated and re-keyed in place; a top that is (the standard CELF
-  * freshness flag) is the round's seed.
+  * stale score. FindMax re-evaluates a top not yet re-evaluated in the
+  * current round and re-keys it in place, until the top is one that is
+  * (the standard CELF freshness flag): the round's seed.
   * As in the systems the paper describes (Sec. 4: "existing parallel
   * implementations only parallelize the evaluation function MARGINAL"),
   * the only parallelism is inside `marginal` (over the R sketches).
@@ -18,33 +18,20 @@ final class CelfSelector extends Selector {
   override def name: String = "CELF"
 
   override def select(sk: SketchSet, k: Int): SelectionResult = {
-    require(k >= 0, s"k=$k must be non-negative")
-    val n = sk.g.n
-    val stale = sk.initScores.clone()
-    val tree = new TournamentTree(stale)
-    // Round-0 scores are true scores (S = ∅), so the whole population
-    // starts "fresh": the first seed costs zero re-evaluations, exactly
-    // MixGreedy's first-seed-from-memoization observation.
-    val lastEvalRound = Array.fill(n)(0)
-
-    val seeds = new Array[Int](math.min(k, n))
-    var evals = 0L
-    var round = 0
-    while (round < seeds.length) {
+    val scores = sk.scores
+    val tree = new TournamentTree(scores)
+    // The round in which each vertex was last evaluated. Round 0 takes the
+    // exact build scores without evaluating, so every vertex starts fresh.
+    val lastEvalRound = new Array[Int](sk.g.n)
+    // Round flags: 4n bytes beyond the tree's ids.
+    Selector.rounds(sk, k, tree, extraBytes = 4L * sk.g.n) { round =>
       var top = tree.top
-      while (lastEvalRound(top) != round && tree.size > 1) {
-        stale(top) = sk.marginal(top, parallel = true)
+      while (lastEvalRound(top) != round) {
+        scores(top) = sk.marginal(top, parallel = true)
         lastEvalRound(top) = round
-        evals += 1
         tree.update(top)
         top = tree.top
       }
-      tree.remove(top)
-      seeds(round) = top
-      sk.markSeed(top)
-      round += 1
     }
-    // Tree ids + stale scores + round flags: 4(2L-1) + 8n + 4n.
-    SelectionResult(seeds, evals, tree.bytes + 12L * n)
   }
 }

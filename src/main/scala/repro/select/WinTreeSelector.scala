@@ -1,7 +1,7 @@
 package repro.select
 
 import java.util.concurrent.RecursiveAction
-import java.util.concurrent.atomic.{AtomicReference, LongAdder}
+import java.util.concurrent.atomic.AtomicReference
 
 import repro.sketch.SketchSet
 
@@ -26,16 +26,23 @@ import repro.sketch.SketchSet
   * (`SketchSet.drawCounter`). Once they reach [[WinTreeSelector.RefreshBudget]]
   * × R·m, a share of the R·m draws of one `SketchSet.refresh` pass, FindMax
   * stops evaluating, `refresh` writes every vertex's exact marginal into the
-  * stale scores, and the tree is rebuilt bottom-up over them in O(n); its
-  * root then holds the round's best vertex. The stopped traversal leaves
-  * the tree inconsistent, so the root is read only after that rebuild.
+  * sketch set's scores, and the tree is rebuilt bottom-up over them in
+  * O(n); its root then holds the round's best vertex. The stopped traversal
+  * leaves the tree inconsistent, so the root is read only after that
+  * rebuild.
   * This is a deterministic ski-rental rule: a round either finishes
   * lazily or pays about the budget in GetCenter draws before refreshing.
   * The seeds stay CELF's, since every score the tree then holds is a true
   * score, and every later stale score an upper bound. A search from a
   * center draws nothing, so at α = 1 (Tab. 5, InfuserMG's memoization)
   * and on graphs without edges no round ever refreshes, and Win-Tree runs
-  * the paper's lazy Alg. 5 unchanged.
+  * the paper's lazy Alg. 5 unchanged. Elsewhere the number of refreshes,
+  * like the number of evaluations, depends on thread timing: the racing
+  * traversal decides which vertices a round evaluates, and so whether it
+  * reaches the budget. Eight selections on the same R-MAT sketches
+  * (`GraphGen.rmat(32768, 340000, seed = 101)`, WIC, α = 0.1, R = 64,
+  * k = 50, 4 cores) refreshed once in three runs (554–747 evaluations)
+  * and never in five (900–918), all with the same seeds.
   *
   * `evaluations` counts GetCenter marginals only; `refreshes` counts the
   * bulk passes. A refresh holds the sketch build's transient per-thread
@@ -45,44 +52,25 @@ final class WinTreeSelector extends Selector {
   override def name: String = "Win-Tree"
 
   override def select(sk: SketchSet, k: Int): SelectionResult = {
-    require(k >= 0, s"k=$k must be non-negative")
-    val n = sk.g.n
-    val stale = sk.initScores.clone()
-    val tree = new TournamentTree(stale)
+    val tree = new TournamentTree(sk.scores)
     // At least one draw, so a round that draws nothing never refreshes.
     val budget = math.max(1L, (WinTreeSelector.RefreshBudget * sk.R * sk.g.m).toLong)
-
-    val evalCount = new LongAdder
-    var refreshes = 0
-    val seeds = new Array[Int](math.min(k, n))
-    var round = 0
-    while (round < seeds.length) {
-      if (round == 0) {
-        // Round-0 scores are true scores; the root already wins.
-      } else {
-        val rd = new Round(sk, tree, stale, evalCount, sk.drawCounter.sum() + budget)
-        rd.findMax()
-        if (rd.stopped) {
-          sk.refresh(stale)
-          tree.rebuild()
-          refreshes += 1
-        }
+    Selector.rounds(sk, k, tree) { _ =>
+      val rd = new Round(sk, tree, sk.drawCounter.sum() + budget)
+      rd.findMax()
+      if (rd.stopped) {
+        sk.refresh()
+        tree.rebuild()
       }
-      val s = tree.top
-      seeds(round) = s
-      tree.remove(s)
-      sk.markSeed(s)
-      round += 1
     }
-    SelectionResult(seeds, evalCount.sum(), tree.bytes + 8L * n, refreshes)
   }
 
   /** One round's FindMax: the write-max Δ* of true scores, and the stop
     * flag that is set once `sk.drawCounter` reaches `drawLimit`.
     */
-  private final class Round(sk: SketchSet, tree: TournamentTree, stale: Array[Long], evals: LongAdder,
-                            drawLimit: Long) {
+  private final class Round(sk: SketchSet, tree: TournamentTree, drawLimit: Long) {
     private val ids = tree.ids
+    private val stale = sk.scores
     private val best = new AtomicReference[(Long, Int)]((0L, Int.MaxValue))
     @volatile var stopped = false
 
@@ -107,7 +95,6 @@ final class WinTreeSelector extends Selector {
           // Prune: every vertex below has a stale score no better than ours.
           if (!Key.better(stale(id), id, b._1, b._2)) return
           stale(id) = sk.marginal(id)
-          evals.increment()
           writeMax(stale(id), id)
           if (sk.drawCounter.sum() >= drawLimit) stopped = true
         }

@@ -19,10 +19,15 @@ import repro.util.{Par, Scratch}
   *    influence of that component — its size initially, 0 once any vertex
   *    of the component has been chosen as a seed (MarkSeed).
   *
-  * Scores are exact integers: `marginal(v)` and `initScores(v)` are
+  * Scores are exact integers: `marginal(v)` and `scores(v)` are
   * Σ_r δ_r, i.e. R × the paper's Marginal (an average over the R
   * sketches). Dividing by the constant R never changes an arg-max, and
   * the integer sum makes equal gains compare equal without rounding.
+  *
+  * A selection runs on one sketch set and changes only what the set owns:
+  * the component sizes (`markSeed`), the per-vertex `scores` (the
+  * selector's stale keys, lowered in place) and the counters of what it
+  * paid (`evalCounter`, `refreshes`, `visitCounter`, `drawCounter`).
   *
   * With α = 1 this degenerates to InfuserMG's full memoization (every
   * GetCenter terminates at its first vertex); with α = 0 to StaticGreedy's
@@ -41,9 +46,9 @@ final class SketchSet(
     val centerIndex: Array[Int], // n entries: vertex -> center index, or -1
     val labels: Array[Array[Int]], // R × ρ
     val sizes: Array[Array[Int]], // R × ρ
-    val initScores: Array[Long], // Σ_r δ_r on S = ∅, memoized at build time
+    val scores: Array[Long], // Σ_r δ_r: exact on S = ∅ at build time, then stale upper bounds
 ) {
-  require(labels.length == R && sizes.length == R)
+  require(labels.length == R && sizes.length == R && scores.length == g.n)
 
   val rho: Int = centers.length
   private val isSeed = new Array[Boolean](g.n)
@@ -61,11 +66,21 @@ final class SketchSet(
     */
   val drawCounter = new LongAdder
 
-  /** Fresh copy with independent `sizes` (for running several selectors
-    * against identical sketches) and seed state.
+  /** `marginal` calls made on this set: a selection's evaluations (Tab. 5).
+    * A parallel call counts once.
+    */
+  val evalCounter = new LongAdder
+
+  private var refreshPasses = 0
+
+  /** [[refresh]] passes made on this set. */
+  def refreshes: Int = refreshPasses
+
+  /** Fresh copy with independent `sizes` and `scores` (for running several
+    * selectors against identical sketches), seed state and counters.
     */
   def copy(): SketchSet =
-    new SketchSet(g, sampler, R, centers, centerIndex, labels, sizes.map(_.clone()), initScores)
+    new SketchSet(g, sampler, R, centers, centerIndex, labels, sizes.map(_.clone()), scores.clone())
 
   /** Auxiliary sketch bytes (Tab. 2's O((1+αR)n) term, measured):
     * R·ρ ints of labels + R·ρ ints of sizes + n ints of centerIndex.
@@ -131,11 +146,12 @@ final class SketchSet(
   }
 
   /** Alg. 3 Marginal times R: the exact sum of δ_r over all R sketches
-    * (< R·n, so it cannot overflow a Long). Adds the GetCenter visits to
-    * `visitCounter` and its draws to `drawCounter` once per call (once per
-    * range when `parallel`).
+    * (< R·n, so it cannot overflow a Long). Counts the call in
+    * `evalCounter`, and adds the GetCenter visits to `visitCounter` and its
+    * draws to `drawCounter` once per call (once per range when `parallel`).
     */
   def marginal(v: Int, parallel: Boolean = false): Long = {
+    evalCounter.increment()
     if (parallel) {
       val pieces = math.min(R, Par.threads)
       val gains = new Array[Long](pieces)
@@ -157,7 +173,7 @@ final class SketchSet(
   }
 
   /** Every exact marginal at once: writes Σ_r δ_r, what `marginal(v)`
-    * returns, into `into(v)` for every non-seed v, and leaves the seeds'
+    * returns, into `scores(v)` for every non-seed v, and leaves the seeds'
     * entries as they are. This is NewGreedy's round (Chen, Wang & Yang,
     * "Efficient Influence Maximization in Social Networks", KDD'09): the
     * build's blocked union–find pass over all R sampled graphs
@@ -165,15 +181,16 @@ final class SketchSet(
     * seed counted as 0. It draws each edge once per sampled graph, R·m
     * draws in all, whatever α is, and holds the build's transient
     * per-thread state (n·B ints of forests, n longs of sums) only while
-    * it runs. It neither reads nor changes the sketches, and counts no
-    * visits or draws. Like `markSeed`, call it between rounds.
+    * it runs. It neither reads nor changes the sketches, counts no
+    * evaluations, visits or draws, and counts one pass in `refreshes`.
+    * Like `markSeed`, call it between rounds.
     */
-  def refresh(into: Array[Long]): Unit = {
-    require(into.length >= g.n, s"refresh into ${into.length} < n = ${g.n} entries")
+  def refresh(): Unit = {
     val seeds = Array.range(0, g.n).filter(isSeed(_))
     val sums = SketchBuilder.componentSums(g, sampler, R, seeds)
     var v = 0
-    while (v < g.n) { if (!isSeed(v)) into(v) = sums(v); v += 1 }
+    while (v < g.n) { if (!isSeed(v)) scores(v) = sums(v); v += 1 }
+    refreshPasses += 1
   }
 
   /** Alg. 3 MarkSeed: zero the influence of v's component on every

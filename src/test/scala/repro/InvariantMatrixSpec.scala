@@ -54,7 +54,7 @@ class InvariantMatrixSpec extends AnyFunSuite {
         (0 until s.g.n).foreach(v => byHand(v) += sz(cc(v)))
       }
       (0 until s.g.n).foreach(v =>
-        assert(reference.initScores(v) == byHand(v), s"v=$v"))
+        assert(reference.scores(v) == byHand(v), s"v=$v"))
     }
 
     for (a <- alphas) {

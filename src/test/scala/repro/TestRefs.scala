@@ -96,7 +96,7 @@ object TestRefs {
 
   /** Sketch assembly the plain way, one sketch at a time with a HashMap
     * from CC label to representative center index: (labels, sizes,
-    * initScores) as `SketchBuilder.fromCCLabels` must produce them.
+    * scores) as `SketchBuilder.fromCCLabels` must produce them.
     */
   def assembleRef(n: Int, centers: Array[Int],
                   ccs: Seq[Array[Int]]): (Seq[Seq[Int]], Seq[Seq[Int]], Seq[Long]) = {

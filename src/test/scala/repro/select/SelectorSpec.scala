@@ -125,7 +125,7 @@ class SelectorSpec extends AnyFunSuite {
   test("k = 1 returns the vertex with the highest initial score") {
     cases.foreach { case (name, g, model, _) =>
       val sk = SketchBuilder.build(g, model, 12, 1.0)
-      val expect = (0 until g.n).maxBy(v => (sk.initScores(v), -v))
+      val expect = (0 until g.n).maxBy(v => (sk.scores(v), -v))
       selectors.foreach { sel =>
         assert(PaCIM.selectOn(sk, 1, sel).seeds.toSeq == Seq(expect), s"$name/${sel.name}")
       }
@@ -160,13 +160,33 @@ class SelectorSpec extends AnyFunSuite {
     }
   }
 
+  test("the round loop calls FindMax exactly in rounds 1 until min(k, n) with two or more live vertices") {
+    // A FindMax that records its round and the live count, and leaves the
+    // root as it is: the build's best score, since nothing is re-scored.
+    def run(n: Int, k: Int): (SelectionResult, Seq[(Int, Int)]) = {
+      val sk = SketchBuilder.build(TestGens.path(n), Constant(0.5), 4, 1.0)
+      val tree = new TournamentTree(sk.scores)
+      val calls = Seq.newBuilder[(Int, Int)]
+      val res = Selector.rounds(sk, k, tree)(round => calls += ((round, tree.size)))
+      (res, calls.result())
+    }
+    for (n <- Seq(0, 1, 2, 3, 7); k <- Seq(0, 1, 2, n - 1, n, n + 5) if k >= 0) {
+      val (res, calls) = run(n, k)
+      val rounds = math.min(k, n)
+      assert(calls == (1 until rounds).filter(r => n - r >= 2).map(r => (r, n - r)), s"n=$n k=$k")
+      assert(res.seeds.length == rounds && res.seeds.distinct.length == rounds, s"n=$n k=$k")
+      assert(res.evaluations == 0 && res.refreshes == 0, s"n=$n k=$k")
+    }
+    intercept[IllegalArgumentException](run(3, -1))
+  }
+
   test("every selector's structure bytes are the tree's ids plus its per-vertex arrays") {
     // 1000 vertices: 1024 leaves, 2047 node ids of 4 bytes. CELF adds n
-    // stale scores (8 bytes) and round flags (4), P-tree the stale scores
-    // only, as Win-Tree does (WinTreeSpec).
+    // round flags (4 bytes); P-tree adds nothing, as Win-Tree (WinTreeSpec).
+    // The scores the trees key on belong to the sketch set.
     val sk = SketchBuilder.build(TestGens.erdosRenyi(1000, 2000, seed = 73), Constant(0.2), 4, 1.0)
     val ids = 4L * 2047
-    assert(PaCIM.selectOn(sk, 2, new CelfSelector()).structBytes == ids + 12L * 1000)
-    assert(PaCIM.selectOn(sk, 2, new PTreeSelector()).structBytes == ids + 8L * 1000)
+    assert(PaCIM.selectOn(sk, 2, new CelfSelector()).structBytes == ids + 4L * 1000)
+    assert(PaCIM.selectOn(sk, 2, new PTreeSelector()).structBytes == ids)
   }
 }

@@ -62,14 +62,15 @@ class SketchPropertySpec extends AnyFunSuite {
       val sk = SketchBuilder.build(g, m, r, alpha)
       seeds.foreach(sk.markSeed)
       val sizes = sk.sizes.map(_.toSeq).toSeq
-      val (visits, draws) = (sk.visitCounter.sum(), sk.drawCounter.sum())
-      val into = Array.fill(g.n)(-7L)
-      sk.refresh(into)
+      def counts = (sk.evalCounter.sum(), sk.visitCounter.sum(), sk.drawCounter.sum())
+      val before = counts
+      java.util.Arrays.fill(sk.scores, -7L)
+      sk.refresh()
       val where = s"${describe(g, m, r)} alpha=$alpha seeds=$seeds"
-      val uncounted = (sk.visitCounter.sum() == visits && sk.drawCounter.sum() == draws) :| s"refresh counted, $where"
+      val uncounted = (counts == before && sk.refreshes == 1) :| s"refresh miscounted, $where"
       val exact = Prop.all((0 until g.n).map { v =>
         val expect = if (seeds.contains(v)) -7L else sk.marginal(v)
-        (into(v) == expect) :| s"v=$v refreshed ${into(v)}, expected $expect, $where"
+        (sk.scores(v) == expect) :| s"v=$v refreshed ${sk.scores(v)}, expected $expect, $where"
       }: _*)
       uncounted && exact && (sk.sizes.map(_.toSeq).toSeq == sizes) :| s"refresh changed the sketches, $where"
     }, 200)
@@ -89,7 +90,7 @@ class SketchPropertySpec extends AnyFunSuite {
       val where = s"n=${g.n} edges=${g.edgeList.mkString(",")} ${m.label} R=$r alpha=$alpha"
       (sk.labels.map(_.toSeq).toSeq == labels) :| s"labels, $where" &&
         (sk.sizes.map(_.toSeq).toSeq == sizes) :| s"sizes, $where" &&
-        (sk.initScores.toSeq == init) :| s"initScores, $where"
+        (sk.scores.toSeq == init) :| s"scores, $where"
     }, 200)
   }
 
@@ -123,7 +124,7 @@ class SketchPropertySpec extends AnyFunSuite {
       val where = s"${describe(g, m, r)} alpha=$alpha"
       (sk.labels.map(_.toSeq).toSeq == labels) :| s"labels, $where" &&
         (sk.sizes.map(_.toSeq).toSeq == sizes) :| s"sizes, $where" &&
-        (sk.initScores.toSeq == init) :| s"initScores, $where"
+        (sk.scores.toSeq == init) :| s"scores, $where"
     }, 200)
   }
 

@@ -3,9 +3,11 @@ package repro.sketch
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{TestGens, TestRefs}
 import repro.connectivity.LocalCC
+import repro.core.PaCIM
 import repro.graph.{CSRGraph, GraphGen}
 import repro.prob.{Constant, ProbModel, UniformHash}
 import repro.sample.EdgeSampler
+import repro.select.{CelfSelector, PTreeSelector, Selector, WinTreeSelector}
 
 class SketchSetSpec extends AnyFunSuite {
 
@@ -87,7 +89,7 @@ class SketchSetSpec extends AnyFunSuite {
       val sk = SketchBuilder.build(g, model, numSk, a)
       (0 until g.n).foreach { v =>
         val expect = TestRefs.sketchSigma(g, sampler, numSk, Seq(v))
-        assert(sk.initScores(v) == expect, s"alpha=$a v=$v")
+        assert(sk.scores(v) == expect, s"alpha=$a v=$v")
       }
     }
   }
@@ -98,7 +100,7 @@ class SketchSetSpec extends AnyFunSuite {
     alphas.foreach { a =>
       val sk = SketchBuilder.build(g, model, 16, a)
       (0 until g.n by 7).foreach { v =>
-        assert(sk.marginal(v) == sk.initScores(v), s"alpha=$a v=$v")
+        assert(sk.marginal(v) == sk.scores(v), s"alpha=$a v=$v")
       }
     }
   }
@@ -135,10 +137,10 @@ class SketchSetSpec extends AnyFunSuite {
     val sk = SketchBuilder.build(g, Constant(0.3), 8, 0.3)
     sk.markSeed(17)
     assert(sk.marginal(17) == 0L)
-    // A refresh writes every marginal but the seeds'.
-    val into = Array.fill(g.n)(-7L)
-    sk.refresh(into)
-    assert(into(17) == -7L && into.count(_ == -7L) == 1)
+    // A refresh writes every score but the seeds'.
+    java.util.Arrays.fill(sk.scores, -7L)
+    sk.refresh()
+    assert(sk.scores(17) == -7L && sk.scores.count(_ == -7L) == 1 && sk.refreshes == 1)
   }
 
   test("sequential and parallel marginal agree") {
@@ -158,6 +160,17 @@ class SketchSetSpec extends AnyFunSuite {
     c.markSeed(50)
     assert(c.marginal(50) == 0L)
     assert(sk.marginal(50) == before, "original sketches must be untouched")
+    // The scores are the copy's own too: a selector lowers the scores of
+    // the set it runs on, and after selectOn the original's are the build's.
+    val built = sk.scores.toSeq
+    Seq(new CelfSelector(): Selector, new PTreeSelector(), new WinTreeSelector()).foreach { sel =>
+      PaCIM.selectOn(sk, 10, sel)
+      assert(sk.scores.toSeq == built, sel.name)
+      val direct = sk.copy()
+      sel.select(direct, 10)
+      assert(direct.scores.toSeq != built, s"${sel.name} lowered no score")
+      assert(sk.scores.toSeq == built, sel.name)
+    }
   }
 
   test("UF-built and coloring-built sketches are identical") {
@@ -169,7 +182,7 @@ class SketchSetSpec extends AnyFunSuite {
       assert(a.labels(r).toSeq == b.labels(r).toSeq)
       assert(a.sizes(r).toSeq == b.sizes(r).toSeq)
     }
-    assert(a.initScores.toSeq == b.initScores.toSeq)
+    assert(a.scores.toSeq == b.scores.toSeq)
   }
 
   test("sketchBytes follows the O((1+alpha R)n) model") {
@@ -291,7 +304,7 @@ class SketchSetSpec extends AnyFunSuite {
     alphas.foreach { a =>
       Seq("union-find" -> SketchBuilder.build _, "coloring" -> coloringBuild _).foreach { case (algo, build) =>
         val sk = build(g, Constant(0.5), 5, a)
-        assert(sk.R == 5 && sk.rho == 0 && sk.initScores.isEmpty, s"alpha=$a $algo")
+        assert(sk.R == 5 && sk.rho == 0 && sk.scores.isEmpty, s"alpha=$a $algo")
         assert(sk.labels.forall(_.isEmpty) && sk.sizes.forall(_.isEmpty))
       }
     }

@@ -37,7 +37,7 @@ class SparkSketchBuilderSpec extends SparkSpec {
       (dist.centers.sameElements(local.centers)) :| s"centers, $where" &&
         (0 until r).forall(i => dist.labels(i).sameElements(local.labels(i))) :| s"labels, $where" &&
         (0 until r).forall(i => dist.sizes(i).sameElements(local.sizes(i))) :| s"sizes, $where" &&
-        (dist.initScores.sameElements(local.initScores)) :| s"initScores, $where"
+        (dist.scores.sameElements(local.scores)) :| s"scores, $where"
     }): _*)
     val sketches = Gen.choose(1, 40)
     TestGens.check(Prop.forAllNoShrink(TestGens.graph(0), sketches)(agree), 1)

@@ -66,7 +66,7 @@ object RIS {
     java.util.Arrays.copyOf(s.queue, tail)
   }
 
-  /** ln C(n, k). */
+  /** ln C(n, k), for 0 <= k <= n. */
   private def lnChoose(n: Long, k: Int): Double = {
     var s = 0.0
     var i = 0
@@ -134,8 +134,9 @@ object RIS {
     Cover(seeds, coveredSets, 24L * n + tree.bytes + sets.length)
   }
 
-  /** k seeds for g. With no vertex or no seed to pick, returns no seeds
-    * at once, with θ = 0 and nothing capped.
+  /** min(k, n) seeds for g; a k above n gives the θ and the seeds of
+    * k = n. With no vertex or no seed to pick, returns no seeds at once,
+    * with θ = 0 and nothing capped.
     */
   def run(g: CSRGraph, model: ProbModel, k: Int, eps: Double = 0.5,
           maxStoredInts: Long = 50000000L, maxSets: Long = 4000000L,
@@ -145,14 +146,16 @@ object RIS {
     if (n == 0 || k == 0) return Result(Array.emptyIntArray, 0L, 0L, 0L, 0L, 0L, capped = false)
     val sampler = EdgeSampler.forRis(model)
     val t0 = System.nanoTime()
+    // Max coverage picks at most n seeds, so θ is derived from those.
+    val picks = math.min(k, n)
 
     // --- Pilot: estimate an OPT lower bound from a small batch. ---
     val pilotSets = Par.parTabulate(pilot)(i => rrSet(g, sampler, Int.MaxValue - i))
-    val frac = maxCover(n, pilotSets, k).covered.toDouble / pilot
-    val optHat = math.max(k.toDouble, frac * n / (1.0 + eps))
+    val frac = maxCover(n, pilotSets, picks).covered.toDouble / pilot
+    val optHat = math.max(picks.toDouble, frac * n / (1.0 + eps))
 
     // --- θ from the IMM bound, capped by the storage budget. ---
-    val lambda = (8 + 2 * eps) * n * (math.log(n) + lnChoose(n, k) + math.log(2)) / (eps * eps)
+    val lambda = (8 + 2 * eps) * n * (math.log(n) + lnChoose(n, picks) + math.log(2)) / (eps * eps)
     val requiredTheta = math.ceil(lambda / optHat).toLong
     // Estimate per-set size from the pilot to honor the int budget.
     val meanSize = math.max(1.0, pilotSets.iterator.map(_.length.toLong).sum.toDouble / pilot)
@@ -169,7 +172,7 @@ object RIS {
       rr
     }
     val t1 = System.nanoTime()
-    val cover = maxCover(n, sets, k)
+    val cover = maxCover(n, sets, picks)
     val t2 = System.nanoTime()
 
     Result(

@@ -2,10 +2,10 @@ package repro.core
 
 import org.apache.spark.sql.SparkSession
 
-import repro.graph.CSRGraph
+import repro.graph.{CSRGraph, Engine}
 import repro.prob.ProbModel
 import repro.sample.EdgeSampler
-import repro.util.{Par, Scratch}
+import repro.util.Scratch
 
 /** Monte-Carlo estimation of the influence spread σ(S): the expected
   * number of vertices activated by seed set S under the IC model —
@@ -16,11 +16,11 @@ import repro.util.{Par, Scratch}
   * of the sketch salt). The simulations run in blocks of up to 64 through
   * one kernel, [[simulateBlock]], which does the whole block as a single
   * bit-parallel BFS (MS-BFS, Then et al., PVLDB 2014) and hashes each arc
-  * it draws once for the block (Infuser's fusing across samples). Offered
-  * in two engines with identical results: local fork-join ([[estimate]])
-  * and Spark ([[sparkEstimate]], the blocks distributed over the cluster
-  * with a broadcast CSR — the task's dataflow layer for the spread
-  * measurements).
+  * it draws once for the block (Infuser's fusing across samples). Written
+  * once ([[estimateOn]]) and run on either engine with identical results:
+  * local fork-join ([[estimate]]) and Spark ([[sparkEstimate]], the blocks
+  * distributed over the cluster with a broadcast CSR — the task's
+  * dataflow layer for the spread measurements).
   */
 object InfluenceEval {
 
@@ -108,43 +108,36 @@ object InfluenceEval {
 
   private def blocks(sims: Int, b: Int): Int = ((sims.toLong + b - 1) / b).toInt
 
-  // Simulations k·b until min((k+1)·b, sims): block k of `sims`.
-  private def runBlock(g: CSRGraph, seeds: Array[Int], sampler: EdgeSampler,
-                       sims: Int, b: Int, k: Int): Long = {
-    val s0 = k * b
-    simulateBlock(g, seeds, sampler, s0, math.min(b, sims - s0), Scratch.local(g.n))
-  }
+  /** Local parallel estimate over `sims` > 0 simulations. */
+  def estimate(g: CSRGraph, seeds: Array[Int], model: ProbModel, sims: Int): Double =
+    estimateOn(Engine.Local, g, seeds, model, sims)
 
-  /** Local parallel estimate over `sims` > 0 simulations, one block per
-    * fork-join task.
-    */
-  def estimate(g: CSRGraph, seeds: Array[Int], model: ProbModel, sims: Int): Double = {
-    require(sims > 0, s"sims=$sims must be positive")
-    val sampler = EdgeSampler.forEval(model)
-    val b = blockSize(sims, Par.threads)
-    Par.parSumL(blocks(sims, b))(runBlock(g, seeds, sampler, sims, b, _)).toDouble / sims
-  }
-
-  /** Spark-distributed estimate over `sims` > 0 simulations: the blocks
-    * are partitioned over the cluster; each task runs its share against
-    * the broadcast graph. Bit-identical to [[estimate]] (same
-    * deterministic sampler, and an exact integer total).
+  /** Spark-distributed estimate over `sims` > 0 simulations, in one task
+    * per range of blocks against the broadcast graph.
     */
   def sparkEstimate(spark: SparkSession, g: CSRGraph, seeds: Array[Int],
-                    model: ProbModel, sims: Int): Double = {
+                    model: ProbModel, sims: Int): Double =
+    estimateOn(Engine.OnSpark(spark), g, seeds, model, sims)
+
+  /** The estimate on `engine`: the blocks of [[blockSize]] simulations
+    * are split into one contiguous range per thread or task, and each
+    * range sums its blocks' totals. Both engines give the same σ̂ (the
+    * sampler is deterministic and the total an exact integer).
+    */
+  private[repro] def estimateOn(engine: Engine, g: CSRGraph, seeds: Array[Int], model: ProbModel,
+                                sims: Int): Double = {
     require(sims > 0, s"sims=$sims must be positive")
-    val sc = spark.sparkContext
-    val b = blockSize(sims, sc.defaultParallelism)
-    val numBlocks = blocks(sims, b)
-    val total = CSRGraph.broadcasting(sc, g, (seeds, model)) { shipped =>
-      sc.range(0, numBlocks, numSlices = math.min(numBlocks, 64)).mapPartitions { it =>
-        val (gg, (ss, m)) = shipped()
-        val sampler = EdgeSampler.forEval(m)
-        var sum = 0L
-        it.foreach(k => sum += runBlock(gg, ss, sampler, sims, b, k.toInt))
-        Iterator.single(sum)
-      }.sum()
-    }
-    total / sims
+    val b = blockSize(sims, engine.parallelism)
+    engine.ranges(g, (seeds, EdgeSampler.forEval(model)), blocks(sims, b)) { case (gg, (ss, sampler), lo, hi) =>
+      val s = Scratch.local(gg.n)
+      var total = 0L
+      var k = lo
+      while (k < hi) {
+        val s0 = k * b
+        total += simulateBlock(gg, ss, sampler, s0, math.min(b, sims - s0), s)
+        k += 1
+      }
+      total
+    }.sum.toDouble / sims
   }
 }

@@ -1,8 +1,5 @@
 package repro.graph
 
-import scala.reflect.ClassTag
-
-import org.apache.spark.SparkContext
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** Compact undirected graph in Compressed Sparse Row form.
@@ -114,7 +111,7 @@ object CSRGraph {
   }
 
   /** Wrap pre-validated CSR arrays without copying (used to rebuild a
-    * graph view around broadcast arrays on Spark executors).
+    * graph view around broadcast arrays in Spark tasks, [[Engine.OnSpark]]).
     */
   def wrap(n: Int, offsets: Array[Int], adj: Array[Int]): CSRGraph = {
     checkN(n)
@@ -125,19 +122,4 @@ object CSRGraph {
 
   private def checkN(n: Int): Unit =
     require(n >= 0 && n < Int.MaxValue, s"n=$n out of [0, Int.MaxValue)")
-
-  /** Runs `job` with g's CSR arrays and `extra` broadcast to the cluster,
-    * and destroys the broadcasts when it returns. `job` gets a
-    * serializable function that, inside a task, returns g (wrapped around
-    * the broadcast arrays, not copied) and `extra`.
-    */
-  def broadcasting[T: ClassTag, A](sc: SparkContext, g: CSRGraph, extra: T)
-                                  (job: (() => (CSRGraph, T)) => A): A = {
-    val n = g.n
-    val bcOffsets = sc.broadcast(g.offsets)
-    val bcAdj = sc.broadcast(g.adj)
-    val bcExtra = sc.broadcast(extra)
-    try job(() => (wrap(n, bcOffsets.value, bcAdj.value), bcExtra.value))
-    finally { bcOffsets.destroy(); bcAdj.destroy(); bcExtra.destroy() }
-  }
 }

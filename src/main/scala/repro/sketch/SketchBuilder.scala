@@ -1,7 +1,7 @@
 package repro.sketch
 
 import repro.connectivity.LocalCC
-import repro.graph.CSRGraph
+import repro.graph.{CSRGraph, Engine}
 import repro.prob.ProbModel
 import repro.sample.EdgeSampler
 import repro.util.{Par, Rand}
@@ -10,14 +10,15 @@ import repro.util.{Par, Rand}
   *
   * [[build]] runs PaC-IM's blocked union–find (ConnectIt stand-in). The R
   * sketches run in blocks of [[blockSize]] sampled graphs, the blocks
-  * split into one contiguous range per thread. Each block runs one
+  * split into one contiguous range per thread ([[buildOn]], on either
+  * [[repro.graph.Engine]]). Each block runs one
   * [[LocalCC.uniteBlock]], which draws its edges in chunks, each chunk in
   * all of the block's graphs at once by one vectorized kernel
   * (`EdgeSampler.sampleChunk`). Each of the block's sketches is assembled
   * right after (labels, sizes, representative centers, partial initial
-  * scores) into per-thread arrays, so no n-array is allocated per sketch.
-  * The Spark build ([[SparkSketchBuilder]]) runs the same per-range
-  * routine ([[buildBlocks]]) in its tasks. [[fromCCLabels]] assembles
+  * scores) into per-range arrays, so no n-array is allocated per sketch.
+  * The Spark build ([[SparkSketchBuilder]]) is the same code with its
+  * ranges in Spark tasks. [[fromCCLabels]] assembles
   * sketches from any per-sketch CC labeling with the same routine
   * ([[Assembly]]); the InfuserMG baseline feeds it coloring CC.
   * `SketchSet.refresh` reruns the union–find pass with a seed mask and
@@ -71,34 +72,52 @@ object SketchBuilder {
     * to the minimum vertex id of its component in G'_r.
     */
   def fromCCLabels(g: CSRGraph, sampler: EdgeSampler, numSketches: Int,
-                   centers: Array[Int])(ccOf: Int => Array[Int]): SketchSet =
-    assemble(g, sampler, numSketches, centers, numSketches) { (lo, hi, asm) =>
+                   centers: Array[Int])(ccOf: Int => Array[Int]): SketchSet = {
+    require(numSketches > 0, s"numSketches=$numSketches must be positive")
+    sketchSet(g, sampler, centers, Engine.Local.ranges(g, centers, numSketches) { (gg, cs, lo, hi) =>
+      val asm = new Assembly(gg.n, cs, lo, hi)
       var r = lo
       while (r < hi) { asm.add(r, ccOf(r)); r += 1 }
-    }
+      asm.part
+    })
+  }
 
   /** Local parallel build (what the benches use). */
-  def build(g: CSRGraph, model: ProbModel, numSketches: Int, alpha: Double): SketchSet = {
+  def build(g: CSRGraph, model: ProbModel, numSketches: Int, alpha: Double): SketchSet =
+    buildOn(Engine.Local, g, model, numSketches, alpha)
+
+  /** The union–find build on `engine`: the blocks of [[blockSize]]
+    * sketches are split into one contiguous range per thread or task, and
+    * each range runs [[buildBlocks]] into its own [[Assembly]], whose part
+    * [[sketchSet]] concatenates and merges. The sampler hash is a pure
+    * function and the initial scores are exact integer sums, so both
+    * engines give bit-identical sketch sets (tests assert it).
+    */
+  private[repro] def buildOn(engine: Engine, g: CSRGraph, model: ProbModel, numSketches: Int,
+                             alpha: Double): SketchSet = {
+    require(numSketches > 0, s"numSketches=$numSketches must be positive")
     val sampler = EdgeSampler.forSketches(model)
-    val b = blockSize(g.n, numSketches, Par.threads)
-    assemble(g, sampler, numSketches, chooseCenters(g.n, alpha), blocks(numSketches, b)) { (lo, hi, asm) =>
-      buildBlocks(g, sampler, numSketches, b, lo, hi, asm)
+    val centers = chooseCenters(g.n, alpha)
+    val b = blockSize(g.n, numSketches, engine.parallelism)
+    val parts = engine.ranges(g, (sampler, centers), blocks(numSketches, b)) { case (gg, (sm, cs), lo, hi) =>
+      val asm = new Assembly(gg.n, cs, lo * b, math.min(hi * b, numSketches))
+      buildBlocks(gg, sm, numSketches, b, lo, hi, asm)
+      asm.part
     }
+    sketchSet(g, sampler, centers, parts)
   }
 
   /** Blocks of b sketches that hold `numSketches`. */
-  private[sketch] def blocks(numSketches: Int, b: Int): Int = ((numSketches.toLong + b - 1) / b).toInt
+  private def blocks(numSketches: Int, b: Int): Int = ((numSketches.toLong + b - 1) / b).toInt
 
   /** The union–find build of blocks lo until hi, where block k holds
     * sketches k·b until min((k+1)·b, numSketches), on the calling thread:
     * one blocked union–find per block, then each of its sketches is
-    * labelled into one reused n-array and added to `asm` at once. Both
-    * engines run it, the local one on a range of blocks per thread and
-    * the Spark one on a range per task. It holds b·4n + 4n bytes of CC
-    * state, allocated here and dropped on return.
+    * labelled into one reused n-array and added to `asm` at once. It holds
+    * b·4n + 4n bytes of CC state, allocated here and dropped on return.
     */
-  private[sketch] def buildBlocks(g: CSRGraph, sampler: EdgeSampler, numSketches: Int, b: Int,
-                                  lo: Int, hi: Int, asm: Assembly): Unit = {
+  private def buildBlocks(g: CSRGraph, sampler: EdgeSampler, numSketches: Int, b: Int,
+                          lo: Int, hi: Int, asm: Assembly): Unit = {
     val n = g.n
     val par = new Array[Int](n * b)
     val cc = new Array[Int](n)
@@ -117,61 +136,35 @@ object SketchBuilder {
     }
   }
 
-  /** The parallel skeleton of the local builds. `units` (sketches or
-    * blocks) are split into at most `Par.threads` contiguous ranges, built
-    * in parallel; `body(lo, hi, asm)` feeds the range's sketches to its own
-    * [[Assembly]], whose partial initial scores [[sketchSet]] merges. The
-    * sums take at most `Par.threads`·8n bytes, the result included.
-    */
-  private def assemble(g: CSRGraph, sampler: EdgeSampler, numSketches: Int, centers: Array[Int],
-                       units: Int)(body: (Int, Int, Assembly) => Unit): SketchSet = {
-    require(numSketches > 0, s"numSketches=$numSketches must be positive")
-    val labels = new Array[Array[Int]](numSketches)
-    val sizes = new Array[Array[Int]](numSketches)
-    val partial = inRanges(units, new Assembly(g.n, centers, labels, sizes))(body)
-    sketchSet(g, sampler, centers, labels, sizes, partial)
-  }
-
-  /** Runs `body(lo, hi, asm)` on at most `Par.threads` contiguous ranges
-    * of `units`, in parallel, each with its own [[Assembly]] made by
-    * `asm`; returns their partial sums.
-    */
-  private def inRanges(units: Int, asm: => Assembly)(body: (Int, Int, Assembly) => Unit): Array[Array[Long]] = {
-    val pieces = math.min(units, Par.threads)
-    val partial = new Array[Array[Long]](pieces)
-    Par.parRanges(units, pieces) { (c, lo, hi) =>
-      val a = asm
-      body(lo, hi, a)
-      partial(c) = a.sum
-    }
-    partial
-  }
-
   /** Σ over the R sampled graphs of each vertex's component size, where a
     * component that holds one of `seeds` counts as 0: every vertex's
     * marginal after `seeds` (a seed's own is 0). The union–find build's
-    * pass ([[buildBlocks]]) with a seed mask and no sketch kept, so it
-    * holds only the build's transient per-thread state.
+    * pass ([[buildBlocks]]) on [[Engine.Local]], with a seed mask and no
+    * sketch kept, so it holds only the build's transient per-thread state.
     */
   private[sketch] def componentSums(g: CSRGraph, sampler: EdgeSampler, numSketches: Int,
                                     seeds: Array[Int]): Array[Long] = {
-    val b = blockSize(g.n, numSketches, Par.threads)
-    merged(g.n, inRanges(blocks(numSketches, b), new Assembly(g.n, seeds)) { (lo, hi, asm) =>
-      buildBlocks(g, sampler, numSketches, b, lo, hi, asm)
+    val b = blockSize(g.n, numSketches, Engine.Local.parallelism)
+    merged(g.n, Engine.Local.ranges(g, seeds, blocks(numSketches, b)) { (gg, ss, lo, hi) =>
+      val asm = new Assembly(gg.n, ss)
+      buildBlocks(gg, sampler, numSketches, b, lo, hi, asm)
+      asm.part.sum
     })
   }
 
-  /** The SketchSet of assembled sketches. `partial` holds the initial
-    * score sums of one or more [[Assembly]]s (n longs each).
+  /** The SketchSet of assembled sketches: the parts' sketches, which
+    * cover 0 until R in ascending ranges, concatenated, and their initial
+    * score sums (n longs each) merged.
     */
-  private[sketch] def sketchSet(g: CSRGraph, sampler: EdgeSampler, centers: Array[Int],
-                                labels: Array[Array[Int]], sizes: Array[Array[Int]],
-                                partial: Array[Array[Long]]): SketchSet = {
+  private def sketchSet(g: CSRGraph, sampler: EdgeSampler, centers: Array[Int],
+                        parts: Array[Part]): SketchSet = {
     val n = g.n
     val centerIndex = Array.fill(n)(-1)
     var i = 0
     while (i < centers.length) { centerIndex(centers(i)) = i; i += 1 }
-    new SketchSet(g, sampler, labels.length, centers, centerIndex, labels, sizes, merged(n, partial))
+    val labels = parts.flatMap(_.labels)
+    new SketchSet(g, sampler, labels.length, centers, centerIndex, labels, parts.flatMap(_.sizes),
+                  merged(n, parts.map(_.sum)))
   }
 
   /** Partial sums (n longs each, at least one) merged once, in parallel,
@@ -180,7 +173,7 @@ object SketchBuilder {
     */
   private def merged(n: Int, partial: Array[Array[Long]]): Array[Long] = {
     val total = partial(0)
-    Par.parRanges(n, Par.threads) { (_, lo, hi) =>
+    Par.parRanges(n, Par.threads) { (lo, hi) =>
       var c = 1
       while (c < partial.length) {
         val part = partial(c)
@@ -192,25 +185,35 @@ object SketchBuilder {
     total
   }
 
-  /** Assembles sketches one at a time on one thread: compresses sketch
-    * r's canonical labels to (labels(r), sizes(r)) over the ρ centers and
-    * adds every vertex's component size to `sum`. The scoring form (the
-    * second constructor) keeps no sketch and counts the components that
-    * hold one of its seeds as 0. Its n-arrays are reused across sketches.
+  /** What one [[Assembly]] made: the labels and sizes of its sketches
+    * (none in the scoring form) and its partial initial scores.
     */
-  private[sketch] final class Assembly private (n: Int, centers: Array[Int], labels: Array[Array[Int]],
-                                                sizes: Array[Array[Int]], seeds: Array[Int]) {
-    def this(n: Int, centers: Array[Int], labels: Array[Array[Int]], sizes: Array[Array[Int]]) =
-      this(n, centers, labels, sizes, Array.emptyIntArray)
+  private[sketch] final case class Part(labels: Array[Array[Int]], sizes: Array[Array[Int]],
+                                        sum: Array[Long])
+
+  /** Assembles sketches one at a time on one thread: compresses the
+    * canonical labels of sketch r, r0 <= r < r1, to its (labels, sizes)
+    * over the ρ centers and adds every vertex's component size to the
+    * partial sums; [[part]] returns all three. The scoring form (the
+    * second constructor) keeps no sketch (its part's labels and sizes are
+    * null) and counts the components that hold one of its seeds as 0. Its
+    * n-arrays are reused across sketches.
+    */
+  private[sketch] final class Assembly private (n: Int, centers: Array[Int], r0: Int,
+                                                labels: Array[Array[Int]], sizes: Array[Array[Int]],
+                                                seeds: Array[Int]) {
+    def this(n: Int, centers: Array[Int], r0: Int, r1: Int) =
+      this(n, centers, r0, new Array[Array[Int]](r1 - r0), new Array[Array[Int]](r1 - r0),
+           Array.emptyIntArray)
 
     /** Sums only, with the components of `seeds` counted as 0. */
-    def this(n: Int, seeds: Array[Int]) = this(n, Array.emptyIntArray, null, null, seeds)
+    def this(n: Int, seeds: Array[Int]) = this(n, Array.emptyIntArray, 0, null, null, seeds)
 
     // Marginal(∅, v) comes free during construction (every vertex's CC
     // size is in hand before compression discards it) — the MixGreedy
     // first-seed observation; it also means selection counts only
     // RE-evaluations, as in the paper's Tab. 5.
-    val sum = new Array[Long](n)
+    private val sum = new Array[Long](n)
     // Component size per CC label; all zero between sketches.
     private val sizeByLabel = new Array[Int](n)
     // Representative center index per component label, -1 if none yet
@@ -227,6 +230,8 @@ object SketchBuilder {
       if (labels != null) compress(r, cc)
       java.util.Arrays.fill(sizeByLabel, 0)
     }
+
+    def part: Part = Part(labels, sizes, sum)
 
     private def compress(r: Int, cc: Array[Int]): Unit = {
       // Representative = the smallest center index whose center lies in
@@ -246,8 +251,8 @@ object SketchBuilder {
       }
       j = 0
       while (j < rho) { rep(cc(centers(j))) = -1; j += 1 }
-      labels(r) = lab
-      sizes(r) = siz
+      labels(r - r0) = lab
+      sizes(r - r0) = siz
     }
   }
 

@@ -152,12 +152,8 @@ final class SketchSet(
     */
   def marginal(v: Int, parallel: Boolean = false): Long = {
     evalCounter.increment()
-    if (parallel) {
-      val pieces = math.min(R, Par.threads)
-      val gains = new Array[Long](pieces)
-      Par.parRanges(R, pieces) { (c, lo, hi) => gains(c) = marginalOver(v, lo, hi) }
-      gains.sum
-    } else marginalOver(v, 0, R)
+    if (parallel) Par.parRanges(R, math.min(R, Par.threads))(marginalOver(v, _, _)).sum
+    else marginalOver(v, 0, R)
   }
 
   private def marginalOver(v: Int, lo: Int, hi: Int): Long = {
@@ -202,7 +198,7 @@ final class SketchSet(
     */
   def markSeed(v: Int): Unit = {
     if (centerIndex(v) >= 0) markRange(v, 0, R)
-    else Par.parRanges(R, math.min(R, Par.threads)) { (_, lo, hi) => markRange(v, lo, hi) }
+    else Par.parRanges(R, math.min(R, Par.threads))(markRange(v, _, _))
     isSeed(v) = true
   }
 

@@ -29,22 +29,19 @@ object Par {
     */
   def threads: Int = ForkJoinPool.getCommonPoolParallelism + 1
 
-  /** Parallel for over `pieces` contiguous ranges that split [0, n) as
-    * evenly as possible: `body(piece, lo, hi)` covers [lo, hi). For loops
-    * that keep per-range state (a partial sum array, a scratch) and merge
-    * it once, instead of writing shared state per index.
+  /** Parallel map over `pieces` contiguous ranges that split [0, n) as
+    * evenly as possible: `body(lo, hi)` covers [lo, hi), and the results
+    * come back in range order. For loops that keep per-range state (a
+    * partial sum array, a scratch) and merge it once, instead of writing
+    * shared state per index.
     */
-  def parRanges(n: Int, pieces: Int)(body: (Int, Int, Int) => Unit): Unit =
-    parFor(pieces) { c =>
-      body(c, (n.toLong * c / pieces).toInt, (n.toLong * (c + 1) / pieces).toInt)
-    }
+  def parRanges[T: reflect.ClassTag](n: Int, pieces: Int)(body: (Int, Int) => T): Array[T] =
+    parTabulate(pieces)(c => body(cut(n, pieces, c), cut(n, pieces, c + 1)))
 
-  /** Parallel sum of a per-index Long function. */
-  def parSumL(n: Int)(f: Int => Long): Long = {
-    val acc = new java.util.concurrent.atomic.LongAdder
-    parFor(n)(i => acc.add(f(i)))
-    acc.sum()
-  }
+  /** Where range c starts when [0, n) is split into `pieces` contiguous
+    * ranges as evenly as possible; c = pieces gives n.
+    */
+  def cut(n: Int, pieces: Int, c: Int): Int = (n.toLong * c / pieces).toInt
 }
 
 /** Reusable, allocation-free BFS scratch: a stamp-versioned visited array

@@ -105,6 +105,17 @@ class RISSpec extends AnyFunSuite {
     assert(res.bytes == 0L)
   }
 
+  test("k above n gives the theta, the required theta and the seeds of k = n") {
+    val g = TestGens.path(5)
+    def at(k: Int) = {
+      val r = RIS.run(g, Constant(0.5), k, pilot = 64)
+      (r.theta, r.requiredTheta, r.seeds.toSeq)
+    }
+    val atN = at(5)
+    assert(atN._1 > 0L && atN._3.sorted == (0 until 5), s"k = n: $atN")
+    Seq(6, 7, 15).foreach(k => assert(at(k) == atN, s"k=$k"))
+  }
+
   test("negative k is rejected") {
     val g = GraphGen.rmat(256, 1500, seed = 86)
     intercept[IllegalArgumentException](RIS.run(g, Constant(0.05), k = -1))

@@ -83,8 +83,14 @@ class ParSpec extends AnyFunSuite {
     assert(Par.parTabulate(5000)(i => i * i).toSeq == (0 until 5000).map(i => i * i))
   }
 
-  test("parSumL sums longs") {
-    assert(Par.parSumL(1000)(i => i.toLong) == 999L * 1000 / 2)
+  test("parRanges splits [0, n) into contiguous ranges and returns their results in order") {
+    Seq((10, 3), (3, 3), (2, 5), (0, 4), (1000, 7)).foreach { case (n, pieces) =>
+      val got = Par.parRanges(n, pieces)((lo, hi) => (lo, hi)).toSeq
+      assert(got.length == pieces)
+      assert(got.map(_._1) == (0 until pieces).map(Par.cut(n, pieces, _)), s"n=$n pieces=$pieces")
+      assert(got.zip(got.tail).forall { case (a, b) => a._2 == b._1 } && got.last._2 == n)
+      assert(got.map(r => r._2 - r._1).distinct.forall(d => d == n / pieces || d == n / pieces + 1))
+    }
   }
 
   test("parFor with zero iterations is a no-op") {
